@@ -136,7 +136,12 @@ def _split_csv_list(arg: str | None) -> tuple[str, ...]:
 
 def _default_seed() -> int:
     raw = os.environ.get(SEED_ENV_VAR)
-    return int(raw) if raw else 0
+    if not raw:
+        return 0
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR}={raw!r} is not an integer seed") from None
 
 
 def _render_paths(paths) -> list[str]:
@@ -229,7 +234,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise ValueError(f"interventions look like NODE=VALUE, got {spec!r}")
         node, _, raw = spec.partition("=")
         model = intervene(model, Intervention(node.strip(), float(raw)))
-    data = simulate(model, args.n, args.seed)
+    seed = _default_seed() if args.seed is None else args.seed
+    data = simulate(model, args.n, seed)
     _emit_text(data.to_csv(), args.output)
     return EXIT_OK
 
@@ -288,7 +294,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_study(args: argparse.Namespace) -> int:
     if args.config == "default":
         doc = default_study_config().as_dict()
-        doc["seed"] = _default_seed()
+        if args.seed is None:
+            doc["seed"] = _default_seed()
     else:
         doc = json.loads(Path(args.config).read_text())
     # Explicit flags override whatever the config carries.
@@ -360,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="draw data from a structural model")
     p.add_argument("--model", required=True, help="model file or fixture name")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"default: ${SEED_ENV_VAR}, else 0")
     p.add_argument("--intervene", default=None,
                    help="comma list of NODE=VALUE settings")
     p.add_argument("-o", "--output", default=None)

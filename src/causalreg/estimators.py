@@ -20,7 +20,9 @@ __all__ = [
     "ConvergenceError",
     "design_matrix",
     "ols_fit",
+    "logistic_design",
     "logistic_fit",
+    "irls",
     "positivity_check",
     "PositivityReport",
     "noncompliance_estimands",
@@ -139,45 +141,153 @@ def design_matrix(data: Dataset, spec: DesignSpec) -> tuple[np.ndarray, np.ndarr
     return X, y
 
 
-def _check_rank(X: np.ndarray, names: tuple[str, ...]) -> None:
-    _, r, pivots = scipy.linalg.qr(X, mode="economic", pivoting=True)
+def _pivoted_qr(X: np.ndarray, names: tuple[str, ...], mode: str = "economic"):
+    """scipy.linalg.qr of X with column pivoting; raises if X is rank deficient.
+
+    Returns scipy's tuple for ``mode``, whose last two items are R and the
+    pivots: ``(Q, R, P)`` for "economic", ``((qr, tau), R, P)`` for "raw".
+    """
+    factors = scipy.linalg.qr(X, mode=mode, pivoting=True)
+    *_, r, pivots = factors
     diag = np.abs(np.diag(r))
     tol = max(X.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
     rank = int(np.sum(diag > tol))
     if rank < X.shape[1]:
         raise RankDeficiencyError(names[j] for j in sorted(pivots[rank:]))
+    return factors
 
 
 def ols_fit(data: Dataset, spec: DesignSpec) -> FitResult:
-    """Least squares through a QR decomposition, with classical SEs."""
+    """Least squares through one pivoted QR decomposition, with classical SEs."""
     X, y = design_matrix(data, spec)
     names = spec.column_names()
     n, p = X.shape
     if n <= p:
         raise FitError(f"need more rows than parameters (n={n}, p={p})")
-    _check_rank(X, names)
-    q, r = np.linalg.qr(X)
-    beta = scipy.linalg.solve_triangular(r, q.T @ y)
+    q, r, pivots = _pivoted_qr(X, names)
+    beta = np.empty(p)
+    beta[pivots] = scipy.linalg.solve_triangular(r, q.T @ y)
     residuals = y - X @ beta
     sigma2 = float(residuals @ residuals) / (n - p)
+    # (X'X)^-1 = P R^-1 R^-T P', so its diagonal holds the squared row
+    # norms of R^-1 in pivoted order.
     rinv = scipy.linalg.solve_triangular(r, np.eye(p))
-    cov = sigma2 * (rinv @ rinv.T)
-    ses = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    ses = np.empty(p)
+    ses[pivots] = np.sqrt(sigma2 * np.sum(rinv * rinv, axis=1))
     return FitResult(names, tuple(map(float, beta)), tuple(map(float, ses)))
 
 
-def _check_separation(beta: np.ndarray, probs: np.ndarray, y: np.ndarray) -> None:
-    if np.linalg.norm(beta) > SEPARATION_COEF_NORM:
-        raise SeparationError(
-            f"separation suspected: coefficient norm {np.linalg.norm(beta):.3g} "
-            f"exceeds {SEPARATION_COEF_NORM:g}"
-        )
+def logistic_design(data: Dataset, spec: DesignSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(X, y) for a logistic fit, once the data pass the checks every fit needs."""
+    X, y = design_matrix(data, spec)
+    n, p = X.shape
+    if n <= p:
+        raise FitError(f"need more rows than parameters (n={n}, p={p})")
+    if not np.all(np.isin(y, (0.0, 1.0))):
+        raise FitError(f"outcome {spec.outcome!r} must be binary 0/1")
+    _pivoted_qr(X, spec.column_names(), mode="raw")
+    return X, y
+
+
+def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a stack of systems a[i] x = b[i]; returns (x, solved), where a
+    singular system leaves NaNs in x and False in solved."""
+    try:
+        return np.linalg.solve(a, b), np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan)
+        solved = np.zeros(len(a), dtype=bool)
+        for i in range(len(a)):
+            try:
+                x[i] = np.linalg.solve(a[i], b[i])
+                solved[i] = True
+            except np.linalg.LinAlgError:
+                pass
+        return x, solved
+
+
+def _information(X: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """X' W X for each problem of a stack, with W = diag(p (1 - p))."""
+    return np.swapaxes(X, 1, 2) @ ((probs * (1 - probs))[:, :, None] * X)
+
+
+def irls(
+    X: np.ndarray, y: np.ndarray, names: tuple[str, ...]
+) -> list[FitResult | FitError]:
+    """Logistic regression by iteratively reweighted least squares on a
+    stack of independent problems: X is (R, n, p) and y is (R, n).
+
+    Newton steps solve the weighted normal equations; a problem converges
+    when its largest coefficient update falls below 1e-8.  Each problem
+    iterates, converges and fails on its own, as it would in a stack of
+    one.  Returns, per problem, its FitResult or the FitError that ended it.
+    """
+    reps, _, p = X.shape
+    out: list[FitResult | FitError | None] = [None] * reps
+    beta = np.zeros((reps, p))
+    steps = np.zeros((reps, IRLS_MAX_ITER))
     ones = y == 1
-    if ones.any() and (~ones).any():
-        if np.all(probs[ones] > 1 - SEPARATION_PROB_EPS) and np.all(
-            probs[~ones] < SEPARATION_PROB_EPS
-        ):
-            raise SeparationError("perfect separation: fitted probabilities saturated")
+    both_classes = ones.any(axis=1) & (~ones).any(axis=1)
+    probs = np.full(y.shape, 0.5)  # expit(X @ 0)
+    live = np.arange(reps)  # problems still iterating
+    for iteration in range(1, IRLS_MAX_ITER + 1):
+        score = np.swapaxes(X, 1, 2) @ (y - probs)[:, :, None]
+        step, solved = _solve_each(_information(X, probs), score)
+        for i in live[~solved]:
+            out[i] = SeparationError("singular information matrix")
+        step = step[:, :, 0]
+        beta[live] += step
+        step_norms = np.max(np.abs(step), axis=1)
+        steps[live, iteration - 1] = step_norms
+        probs = expit((X @ beta[live][:, :, None])[:, :, 0])
+
+        coef_norms = np.linalg.norm(beta[live], axis=1)
+        diverged = solved & (coef_norms > SEPARATION_COEF_NORM)
+        saturated = solved & ~diverged & both_classes & np.all(
+            np.where(ones, probs > 1 - SEPARATION_PROB_EPS, probs < SEPARATION_PROB_EPS),
+            axis=1,
+        )
+        for k in np.flatnonzero(diverged):
+            out[live[k]] = SeparationError(
+                f"separation suspected: coefficient norm {coef_norms[k]:.3g} "
+                f"exceeds {SEPARATION_COEF_NORM:g}"
+            )
+        for k in np.flatnonzero(saturated):
+            out[live[k]] = SeparationError(
+                "perfect separation: fitted probabilities saturated"
+            )
+        running = solved & ~diverged & ~saturated
+        converged = running & (step_norms < IRLS_TOL)
+        if converged.any():
+            eye = np.broadcast_to(np.eye(p), (int(converged.sum()), p, p))
+            covs, invertible = _solve_each(
+                _information(X[converged], probs[converged]), eye
+            )
+            for k, cov, ok in zip(np.flatnonzero(converged), covs, invertible):
+                i = live[k]
+                if not ok:
+                    out[i] = SeparationError("singular information matrix at convergence")
+                    continue
+                out[i] = FitResult(
+                    names,
+                    tuple(map(float, beta[i])),
+                    tuple(map(float, np.sqrt(np.clip(np.diag(cov), 0.0, None)))),
+                    iterations=iteration,
+                    final_step_norm=float(step_norms[k]),
+                    converged=True,
+                )
+        keep = running & ~converged
+        if not keep.all():
+            live, X, y, probs = live[keep], X[keep], y[keep], probs[keep]
+            ones, both_classes = ones[keep], both_classes[keep]
+        if live.size == 0:
+            break
+    for i in live:
+        out[i] = ConvergenceError(
+            f"IRLS did not converge in {IRLS_MAX_ITER} iterations",
+            map(float, steps[i]),
+        )
+    return out
 
 
 def logistic_fit(data: Dataset, spec: DesignSpec) -> FitResult:
@@ -186,47 +296,11 @@ def logistic_fit(data: Dataset, spec: DesignSpec) -> FitResult:
     Newton steps solve the weighted normal equations; convergence is
     declared when the largest coefficient update falls below 1e-8.
     """
-    X, y = design_matrix(data, spec)
-    names = spec.column_names()
-    n, p = X.shape
-    if n <= p:
-        raise FitError(f"need more rows than parameters (n={n}, p={p})")
-    if not np.all(np.isin(y, (0.0, 1.0))):
-        raise FitError(f"outcome {spec.outcome!r} must be binary 0/1")
-    _check_rank(X, names)
-
-    beta = np.zeros(p)
-    trace: list[float] = []
-    for iteration in range(1, IRLS_MAX_ITER + 1):
-        probs = expit(X @ beta)
-        weights = probs * (1 - probs)
-        hessian = X.T @ (weights[:, None] * X)
-        score = X.T @ (y - probs)
-        try:
-            step = scipy.linalg.solve(hessian, score, assume_a="sym")
-        except scipy.linalg.LinAlgError as exc:
-            raise SeparationError(f"singular information matrix: {exc}") from None
-        beta = beta + step
-        step_norm = float(np.max(np.abs(step)))
-        trace.append(step_norm)
-        probs = expit(X @ beta)
-        _check_separation(beta, probs, y)
-        if step_norm < IRLS_TOL:
-            weights = probs * (1 - probs)
-            hessian = X.T @ (weights[:, None] * X)
-            cov = scipy.linalg.inv(hessian)
-            ses = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-            return FitResult(
-                names,
-                tuple(map(float, beta)),
-                tuple(map(float, ses)),
-                iterations=iteration,
-                final_step_norm=step_norm,
-                converged=True,
-            )
-    raise ConvergenceError(
-        f"IRLS did not converge in {IRLS_MAX_ITER} iterations", trace
-    )
+    X, y = logistic_design(data, spec)
+    fit = irls(X[None], y[None], spec.column_names())[0]
+    if isinstance(fit, FitError):
+        raise fit
+    return fit
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,17 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from scipy.special import expit
 
-from .estimators import DesignSpec, FitError, logistic_fit, ols_fit
+from ._blas import pin_blas_threads, single_blas_thread
+from .estimators import DesignSpec, FitError, irls, logistic_design, ols_fit
 from .fixtures import MODEL_FIXTURES, model_fixture
 from .scm import (
     ATE,
@@ -47,10 +50,20 @@ __all__ = [
 ]
 
 MAX_FAILURE_FRACTION = 0.01
+# Rows simulated per replication job: bounds the memory of a stacked fit.
+MAX_CHUNK_ROWS = 100_000
 
 
 class StudyError(RuntimeError):
     pass
+
+
+def _require(doc: object, fields: tuple[str, ...], where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    for field in fields:
+        if field not in doc:
+            raise ValueError(f"{where}: missing field {field!r}")
 
 
 @dataclass(frozen=True)
@@ -96,8 +109,12 @@ class Scenario:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "Scenario":
+    def from_dict(cls, doc: dict, index: int = 0) -> "Scenario":
+        """A scenario from its JSON object, at position ``index`` of a config."""
+        where = f"scenario {index}"
+        _require(doc, ("id", "model", "design", "target"), where)
         design = doc["design"]
+        _require(design, ("outcome",), f"{where} design")
         spec = DesignSpec(
             outcome=design["outcome"],
             covariates=tuple(design.get("covariates", ())),
@@ -144,8 +161,12 @@ class StudyConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StudyConfig":
+        _require(doc, (), "study config")
         return cls(
-            scenarios=tuple(Scenario.from_dict(s) for s in doc.get("scenarios", ())),
+            scenarios=tuple(
+                Scenario.from_dict(s, index=i)
+                for i, s in enumerate(doc.get("scenarios", ()))
+            ),
             replications=int(doc.get("replications", 1000)),
             sample_size=int(doc.get("sample_size", 1000)),
             seed=int(doc.get("seed", 0)),
@@ -250,36 +271,56 @@ def default_study_config(
     )
 
 
-def _fit_one(
+def _complete_cases(data: Dataset, scenario: Scenario) -> Dataset:
+    mask = np.ones(data.n, dtype=bool)
+    for name in scenario.require_ones:
+        mask &= data.column(name) == 1.0
+    kept = data.data[mask]
+    if kept.shape[0] <= len(scenario.design.column_names()) + 1:
+        raise FitError(f"only {kept.shape[0]} complete rows left after filtering")
+    return Dataset(data.names, np.ascontiguousarray(kept))
+
+
+def _replicate(
     model: StructuralModel,
     scenario: Scenario,
     sample_size: int,
     seed: int,
-    rep: int,
-) -> float:
-    data = simulate(model, sample_size, seed, rep=rep + 1)
-    if scenario.require_ones:
-        mask = np.ones(data.n, dtype=bool)
-        for name in scenario.require_ones:
-            mask &= data.column(name) == 1.0
-        kept = data.data[mask]
-        if kept.shape[0] <= len(scenario.design.column_names()) + 1:
-            raise FitError(
-                f"only {kept.shape[0]} complete rows left after filtering"
-            )
-        data = Dataset(data.names, np.ascontiguousarray(kept))
-    fitter = logistic_fit if scenario.estimand == LOG_MOR else ols_fit
-    return fitter(data, scenario.design).coef(scenario.target)
+    reps: range,
+) -> list[tuple[int, float | None, str | None]]:
+    """The replication kernel: ``(rep, estimate, None)`` or ``(rep, None,
+    failure message)`` for each replication in ``reps``.
 
-
-def _run_batch(args: tuple) -> list[tuple[int, float | None, str | None]]:
-    model, scenario, sample_size, seed, reps = args
+    Each replication fits exactly what ``ols_fit`` or ``logistic_fit``
+    would fit on its data; logistic fits of one shape share a single
+    stacked IRLS run.
+    """
+    design = scenario.design
+    names = design.column_names()
+    target = names.index(scenario.target)
     out: list[tuple[int, float | None, str | None]] = []
+    stacks: dict[tuple[int, ...], list[tuple[int, np.ndarray, np.ndarray]]] = {}
     for rep in reps:
+        data = simulate(model, sample_size, seed, rep=rep + 1)
         try:
-            out.append((rep, _fit_one(model, scenario, sample_size, seed, rep), None))
+            if scenario.require_ones:
+                data = _complete_cases(data, scenario)
+            if scenario.estimand == LOG_MOR:
+                X, y = logistic_design(data, design)
+                stacks.setdefault(X.shape, []).append((rep, X, y))
+            else:
+                out.append((rep, ols_fit(data, design).coefficients[target], None))
         except FitError as exc:
             out.append((rep, None, str(exc)))
+    for stack in stacks.values():
+        fits = irls(
+            np.stack([X for _, X, _ in stack]), np.stack([y for _, _, y in stack]), names
+        )
+        for (rep, _, _), fit in zip(stack, fits):
+            if isinstance(fit, FitError):
+                out.append((rep, None, str(fit)))
+            else:
+                out.append((rep, fit.coefficients[target], None))
     return out
 
 
@@ -300,12 +341,9 @@ def _oracle_truth(
     ).value
 
 
-def _truth(
-    scenario: Scenario, config: StudyConfig
-) -> tuple[float, str]:
-    if scenario.true_value is not None:
-        return float(scenario.true_value), "exact"
-    value = _oracle_truth(
+def _oracle_key(scenario: Scenario, config: StudyConfig) -> tuple:
+    """_oracle_truth's arguments for a scenario without an exact truth."""
+    return (
         scenario.model,
         scenario.target,
         scenario.design.outcome,
@@ -313,13 +351,13 @@ def _truth(
         config.oracle_n,
         config.seed,
     )
-    return value, "oracle"
 
 
 def _aggregate(
     scenario: Scenario,
     config: StudyConfig,
     results: list[tuple[int, float | None, str | None]],
+    truth: tuple[float, str],
 ) -> tuple[ScenarioResult, tuple[tuple[int, float], ...]]:
     results.sort(key=lambda item: item[0])
     estimates = [(rep, v) for rep, v, _ in results if v is not None]
@@ -335,7 +373,7 @@ def _aggregate(
     mc_se = (
         float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
     )
-    truth, provenance = _truth(scenario, config)
+    value, provenance = truth
     result = ScenarioResult(
         id=scenario.id,
         label=scenario.display_label(),
@@ -344,66 +382,89 @@ def _aggregate(
         replications=int(values.size),
         failures=len(failures),
         mean_estimate=mean,
-        true_value=truth,
+        true_value=value,
         true_provenance=provenance,
-        bias=mean - truth,
+        bias=mean - value,
         mc_se=mc_se,
     )
     return result, tuple((rep, float(v)) for rep, v in estimates)
 
 
+def _dispatch(jobs: list[tuple[Callable, tuple]], workers: int) -> list:
+    """``fn(*args)`` for every job, in job order.
+
+    The jobs run in this process when one worker suffices, otherwise on a
+    process pool of at most ``workers`` processes, one per core and one
+    per job at most (the fork start method launches the whole pool on the
+    first submit).  Either way they run with one BLAS thread; this
+    process gets its previous thread counts back afterwards.
+    """
+    size = min(workers, os.cpu_count() or 1, len(jobs))
+    if size <= 1:
+        with single_blas_thread():
+            return [fn(*args) for fn, args in jobs]
+    with ProcessPoolExecutor(max_workers=size, initializer=pin_blas_threads) as pool:
+        futures = [pool.submit(fn, *args) for fn, args in jobs]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def run_scenario(
     scenario: Scenario, config: StudyConfig
 ) -> ScenarioResult:
-    """Run one scenario sequentially."""
-    model = scenario.resolve_model()
-    batch = _run_batch(
-        (model, scenario, config.sample_size, config.seed, range(config.replications))
-    )
-    result, _ = _aggregate(scenario, config, batch)
-    return result
+    """Run one scenario in this process."""
+    return run_study(replace(config, scenarios=(scenario,))).results[0]
 
 
 def run_study(
     config: StudyConfig, workers: int = 1, keep_estimates: bool = False
 ) -> BiasReport:
-    """Run every scenario; results do not depend on the worker count."""
+    """Run every scenario; results do not depend on the worker count.
+
+    One job list holds an oracle job per distinct truth oracle, first so
+    that the n=10^6 oracle overlaps the replications, then the
+    replications of each scenario in chunks of consecutive indices.
+    """
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    oracle_keys = list(dict.fromkeys(
+        _oracle_key(s, config) for s in config.scenarios if s.true_value is None
+    ))
+    lanes = min(workers, os.cpu_count() or 1)
+    chunk = max(1, min(
+        math.ceil(config.replications / lanes), MAX_CHUNK_ROWS // config.sample_size
+    ))
+    jobs: list[tuple[Callable, tuple]] = [(_oracle_truth, key) for key in oracle_keys]
+    owners: list[str] = []
+    for scenario in config.scenarios:
+        model = scenario.resolve_model()
+        for start in range(0, config.replications, chunk):
+            reps = range(start, min(start + chunk, config.replications))
+            jobs.append(
+                (_replicate, (model, scenario, config.sample_size, config.seed, reps))
+            )
+            owners.append(scenario.id)
+    outputs = _dispatch(jobs, workers)
+    truths = dict(zip(oracle_keys, outputs))
     per_scenario: dict[str, list[tuple[int, float | None, str | None]]] = {
         s.id: [] for s in config.scenarios
     }
-    if workers == 1 or config.replications == 1:
-        for scenario in config.scenarios:
-            model = scenario.resolve_model()
-            per_scenario[scenario.id] = _run_batch(
-                (model, scenario, config.sample_size, config.seed,
-                 range(config.replications))
-            )
-    else:
-        chunk = max(1, math.ceil(config.replications / workers))
-        jobs = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for scenario in config.scenarios:
-                model = scenario.resolve_model()
-                for start in range(0, config.replications, chunk):
-                    reps = range(start, min(start + chunk, config.replications))
-                    jobs.append(
-                        (
-                            scenario.id,
-                            pool.submit(
-                                _run_batch,
-                                (model, scenario, config.sample_size, config.seed, reps),
-                            ),
-                        )
-                    )
-            for scenario_id, future in jobs:
-                per_scenario[scenario_id].extend(future.result())
+    for scenario_id, batch in zip(owners, outputs[len(oracle_keys):]):
+        per_scenario[scenario_id].extend(batch)
 
     results: list[ScenarioResult] = []
     estimates: dict[str, tuple[tuple[int, float], ...]] = {}
     for scenario in config.scenarios:
-        result, values = _aggregate(scenario, config, per_scenario[scenario.id])
+        if scenario.true_value is not None:
+            truth = (float(scenario.true_value), "exact")
+        else:
+            truth = (truths[_oracle_key(scenario, config)], "oracle")
+        result, values = _aggregate(
+            scenario, config, per_scenario[scenario.id], truth
+        )
         results.append(result)
         estimates[scenario.id] = values
     return BiasReport(

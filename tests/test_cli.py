@@ -159,6 +159,13 @@ class TestSimulate:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_bad_env_var_seed_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("CAUSALREG_SEED", "abc")
+        code, _, err = run_cli(capsys, "simulate", "--model", "setup1", "--n", "3")
+        assert code == 1
+        assert "CAUSALREG_SEED" in err
+        assert "Traceback" not in err
+
 
 class TestFit:
     @pytest.fixture
@@ -250,6 +257,16 @@ class TestStudy:
         code, doc, _ = run_json(capsys, "study", "--config", str(path))
         assert code == 0
         assert doc["scenarios"][0]["id"] == "only"
+
+    def test_scenario_without_design_names_index_and_field(self, capsys, tmp_path):
+        scenario = {"id": "x", "model": "setup1", "target": "A", "true_value": 1.0}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"replications": 2, "sample_size": 50,
+                                    "scenarios": [scenario]}))
+        code, _, err = run_cli(capsys, "study", "--config", str(path))
+        assert code == 1
+        assert "scenario 0" in err
+        assert "'design'" in err
 
     def test_text_format(self, capsys):
         code, out, _ = run_cli(

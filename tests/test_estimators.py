@@ -17,6 +17,7 @@ from causalreg.estimators import (
     RankDeficiencyError,
     SeparationError,
     design_matrix,
+    irls,
 )
 
 
@@ -177,6 +178,21 @@ class TestLogistic:
         with pytest.raises(est.ConvergenceError, match="step norms") as exc:
             logistic_fit(logistic_fixture_100, DesignSpec("Y", ("A", "L")))
         assert len(exc.value.trace) == 1
+
+
+    def test_stacked_problems_fail_alone(self, logistic_fixture_100):
+        # A singular problem in the stack fails by itself; its neighbour
+        # gets the same fit as alone.
+        spec = DesignSpec("Y", ("A", "L"))
+        X, y = design_matrix(logistic_fixture_100, spec)
+        collinear = X.copy()
+        collinear[:, 2] = collinear[:, 1]
+        fits = irls(np.stack([collinear, X]), np.stack([y, y]), spec.column_names())
+        assert isinstance(fits[0], SeparationError)
+        assert "singular" in str(fits[0])
+        alone = logistic_fit(logistic_fixture_100, spec)
+        assert fits[1].iterations == alone.iterations
+        assert fits[1].coefficients == pytest.approx(alone.coefficients, abs=1e-12)
 
 
 class TestPositivity:

@@ -1,16 +1,25 @@
 import json
+from concurrent.futures import Future
 
+import numpy as np
 import pytest
 
 from causalreg import (
+    Dataset,
     DesignSpec,
+    FitError,
     Scenario,
     StudyConfig,
     StudyError,
     default_study_config,
+    logistic_fit,
+    ols_fit,
     run_scenario,
     run_study,
+    simulate,
 )
+from causalreg import study
+from causalreg._blas import blas_threads
 from causalreg.study import estimates_csv, render_bias_table
 
 
@@ -186,3 +195,91 @@ class TestDeterminismAndOutput:
         text = render_bias_table(report)
         assert "ATE, setup 1: simple" in text
         assert "bias" in text
+
+
+def public_fit(model, scenario, n, seed, rep):
+    """The estimate, or the FitError, of the public fitter on one replication."""
+    data = simulate(model, n, seed, rep=rep + 1)
+    try:
+        if scenario.require_ones:
+            keep = np.ones(data.n, dtype=bool)
+            for name in scenario.require_ones:
+                keep &= data.column(name) == 1.0
+            data = Dataset(data.names, np.ascontiguousarray(data.data[keep]))
+        fitter = logistic_fit if scenario.estimand == "log_MOR" else ols_fit
+        return fitter(data, scenario.design).coef(scenario.target)
+    except FitError as exc:
+        return exc
+
+
+class TestKernel:
+    def test_default_panel_matches_public_fitters(self):
+        config = default_study_config(
+            replications=7, sample_size=400, seed=11, oracle_n=100_000
+        )
+        report = run_study(config, keep_estimates=True)
+        for scenario in config.scenarios:
+            model = scenario.resolve_model()
+            expected = {
+                rep: public_fit(model, scenario, 400, 11, rep)
+                for rep in range(config.replications)
+            }
+            got = dict(report.estimates[scenario.id])
+            assert set(got) == {r for r, v in expected.items() if isinstance(v, float)}
+            for rep, value in got.items():
+                assert value == pytest.approx(expected[rep], abs=1e-12)
+
+    def test_stacked_logistic_fails_as_each_fit_alone(self):
+        # At n=12 many replications fail to converge or separate; the
+        # stacked fit must keep each one's outcome and message.
+        scenario = default_study_config().scenarios[5]
+        assert scenario.estimand == "log_MOR"
+        model = scenario.resolve_model()
+        batch = study._replicate(model, scenario, 12, 3, range(40))
+        failures = 0
+        for rep, value, message in sorted(batch):
+            expected = public_fit(model, scenario, 12, 3, rep)
+            if isinstance(expected, FitError):
+                failures += 1
+                assert (value, message) == (None, str(expected))
+            else:
+                assert message is None
+                assert value == pytest.approx(expected, abs=1e-12)
+        assert 0 < failures < 40
+
+    def test_workers_see_one_blas_thread(self):
+        if not blas_threads():
+            pytest.skip("no OpenBLAS loaded")
+        before = blas_threads()
+        seen = study._dispatch([(blas_threads, ())] * 2, workers=2)
+        seen += study._dispatch([(blas_threads, ())], workers=1)
+        for counts in seen:
+            assert counts and set(counts.values()) == {1}
+        assert blas_threads() == before
+
+    def test_pool_never_exceeds_cores_or_jobs(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(study, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(study.os, "cpu_count", lambda: 4)
+        # Three scenarios in four chunks each: twelve jobs for four cores.
+        config = small_config(("setup1", "setup2", "setup3"), replications=20, n=100)
+        expected = run_study(config).as_dict()
+        assert run_study(config, workers=500).as_dict() == expected
+        assert study._dispatch([(abs, (-1,)), (abs, (-2,))], workers=3) == [1, 2]
+        assert sizes == [4, 2]
