@@ -169,7 +169,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     sets = enumerate_adjustment_sets(
         query, minimal_only=args.minimal, allow_large=args.allow_large
     )
-    roles = classify_roles(query, allow_large=args.allow_large)
+    roles = classify_roles(query)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "report": "analyze",
@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minimal", action="store_true",
                    help="report only inclusion-minimal adjustment sets")
     p.add_argument("--allow-large", action="store_true",
-                   help="lift the 20-node enumeration bound")
+                   help="lift the 20-candidate bound on listing adjustment sets")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_analyze)
 

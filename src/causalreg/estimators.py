@@ -385,9 +385,12 @@ def noncompliance_estimands(
 ) -> NoncomplianceEstimands:
     """Intention-to-treat, as-treated, per-protocol and complier effects.
 
-    All three columns must be binary.  The complier average effect
-    divides the intention-to-treat contrast by the uptake probability
-    among those assigned to treatment.
+    All three columns must be binary.  ``cace`` divides the
+    intention-to-treat contrast by the uptake probability among those
+    assigned to treatment, ``ITT / P(A=1 | Z=1)``.  That equals the Wald
+    complier effect only under one-sided non-compliance (no uptake
+    among those assigned to control); otherwise the Wald denominator is
+    ``P(A=1 | Z=1) - P(A=1 | Z=0)``.
     """
     za = data.column(assigned)
     a = data.column(taken)

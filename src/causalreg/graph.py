@@ -94,9 +94,8 @@ class Dag:
             for endpoint in (parent, child):
                 if endpoint not in seen:
                     raise UnknownNodeError(endpoint)
-        cycle = _find_cycle(self.nodes, self.edges)
-        if cycle is not None:
-            raise CycleError(cycle)
+        if len(self.topological_order) < len(self.nodes):
+            raise CycleError(_a_cycle(self))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dag):
@@ -172,36 +171,22 @@ class Dag:
             raise UnknownNodeError(name)
 
 
-def _find_cycle(nodes: tuple[str, ...], edges: frozenset[tuple[str, str]]) -> list[str] | None:
-    """Return one directed cycle as a node list (first == last), or None."""
-    children: dict[str, list[str]] = {v: [] for v in nodes}
-    for parent, child in edges:
-        children[parent].append(child)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in nodes}
-    stack: list[str] = []
+def _a_cycle(dag: Dag) -> list[str]:
+    """One directed cycle (first == last) among the nodes Kahn's order leaves out.
 
-    def visit(v: str) -> list[str] | None:
-        color[v] = GRAY
-        stack.append(v)
-        for child in sorted(children[v]):
-            if color[child] == GRAY:
-                i = stack.index(child)
-                return stack[i:] + [child]
-            if color[child] == WHITE:
-                found = visit(child)
-                if found is not None:
-                    return found
-        stack.pop()
-        color[v] = BLACK
-        return None
-
-    for v in nodes:
-        if color[v] == WHITE:
-            found = visit(v)
-            if found is not None:
-                return found
-    return None
+    Each such node keeps a parent that is also left out, so walking
+    those parents must come back to a node; the stretch between the two
+    visits, read backwards, is a cycle.
+    """
+    ordered = set(dag.topological_order)
+    v = next(v for v in dag.nodes if v not in ordered)
+    first_visit: dict[str, int] = {}
+    walk: list[str] = []
+    while v not in first_visit:
+        first_visit[v] = len(walk)
+        walk.append(v)
+        v = next(p for p in dag.parents[v] if p not in ordered)
+    return [v] + walk[first_visit[v]:][::-1]
 
 
 @dataclass(frozen=True)
@@ -230,9 +215,6 @@ class Path:
             parts.append("->" if fwd else "<-")
             parts.append(node)
         return " ".join(parts)
-
-    def is_directed(self) -> bool:
-        return all(self.forward)
 
     def starts_into_origin(self) -> bool:
         """True when the first edge points into ``nodes[0]``."""
@@ -315,32 +297,32 @@ def all_paths(dag: Dag, x: str, y: str) -> list[Path]:
     if x == y:
         raise GraphError("path endpoints must differ")
 
-    edge_set = dag.edges
-    neighbors = {
-        v: tuple(sorted(set(dag.parents[v]) | set(dag.children[v]))) for v in dag.nodes
+    steps = {
+        v: sorted([(p, False) for p in dag.parents[v]] + [(c, True) for c in dag.children[v]])
+        for v in dag.nodes
     }
     found: list[Path] = []
     visited = {x}
     trail: list[str] = [x]
     orient: list[bool] = []
-
-    def walk(v: str) -> None:
-        for w in neighbors[v]:
+    frames = [iter(steps[x])]
+    while frames:
+        for w, forward in frames[-1]:
             if w in visited:
                 continue
-            forward = (v, w) in edge_set
+            if w == y:
+                found.append(Path((*trail, w), (*orient, forward)))
+                continue
+            visited.add(w)
             trail.append(w)
             orient.append(forward)
-            if w == y:
-                found.append(Path(tuple(trail), tuple(orient)))
-            else:
-                visited.add(w)
-                walk(w)
-                visited.discard(w)
-            trail.pop()
-            orient.pop()
-
-    walk(x)
+            frames.append(iter(steps[w]))
+            break
+        else:
+            frames.pop()
+            visited.discard(trail.pop())
+            if orient:
+                orient.pop()
     return found
 
 
@@ -368,9 +350,10 @@ def _check_query_sets(
     dag: Dag, x: Iterable[str], y: Iterable[str], z: Iterable[str]
 ) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
     xs, ys, zs = frozenset(x), frozenset(y), frozenset(z)
-    for name in xs | ys | zs:
-        dag.require(name)
-    if xs & ys or xs & zs or ys & zs:
+    nodes = dag.node_set
+    if not (xs <= nodes and ys <= nodes and zs <= nodes):
+        raise UnknownNodeError(min((xs | ys | zs) - nodes))
+    if not (xs.isdisjoint(ys) and xs.isdisjoint(zs) and ys.isdisjoint(zs)):
         raise GraphError("query sets must be pairwise disjoint")
     return xs, ys, zs
 
@@ -382,44 +365,45 @@ def d_separated(dag: Dag, x: Iterable[str], y: Iterable[str], z: Iterable[str]) 
     against an edge may continue through parents and children unless
     conditioned on, while a state entered along an edge continues to
     children, or back to parents only at (ancestors of) conditioned
-    colliders.
+    colliders.  The ancestors of the conditioning set are collected
+    the first time the walk enters a node along an edge.
     """
     xs, ys, zs = _check_query_sets(dag, x, y, z)
-    if not xs or not ys:
-        return True
-
-    z_ancestors = set(zs)
-    stack = list(zs)
-    while stack:
-        v = stack.pop()
-        for p in dag.parents[v]:
-            if p not in z_ancestors:
-                z_ancestors.add(p)
-                stack.append(p)
-
-    UP, DOWN = 0, 1  # UP: arrived from a child; DOWN: arrived from a parent
-    queue: deque[tuple[str, int]] = deque((s, UP) for s in xs)
-    visited: set[tuple[str, int]] = set()
-    while queue:
-        v, direction = queue.popleft()
-        if (v, direction) in visited:
+    parents, children = dag.parents, dag.children
+    ups, downs = list(xs), []  # entered against an edge / along an edge
+    up_seen: set[str] = set()
+    down_seen: set[str] = set()
+    z_ancestors: set[str] | None = None
+    while ups or downs:
+        if ups:
+            v = ups.pop()
+            if v in up_seen:
+                continue
+            up_seen.add(v)
+            if v in ys:
+                return False
+            if v not in zs:
+                ups.extend(parents[v])
+                downs.extend(children[v])
             continue
-        visited.add((v, direction))
-        if v in ys and v not in zs:
+        v = downs.pop()
+        if v in down_seen:
+            continue
+        down_seen.add(v)
+        if v in ys:
             return False
-        if direction == UP:
-            if v not in zs:
-                for p in dag.parents[v]:
-                    queue.append((p, UP))
-                for c in dag.children[v]:
-                    queue.append((c, DOWN))
-        else:
-            if v not in zs:
-                for c in dag.children[v]:
-                    queue.append((c, DOWN))
-            if v in z_ancestors:
-                for p in dag.parents[v]:
-                    queue.append((p, UP))
+        if v not in zs:
+            downs.extend(children[v])
+        if z_ancestors is None:
+            z_ancestors = set(zs)
+            pending = list(zs)
+            while pending:
+                for p in parents[pending.pop()]:
+                    if p not in z_ancestors:
+                        z_ancestors.add(p)
+                        pending.append(p)
+        if v in z_ancestors:
+            ups.extend(parents[v])
     return True
 
 

@@ -8,11 +8,11 @@ which are conditioned on by design (e.g. selection indicators).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
-from .graph import Dag, GraphError, Path, all_paths, descendants, path_blocked
+from .graph import Dag, GraphError, Path, all_paths, d_separated, descendants
 
 __all__ = [
     "CausalQuery",
@@ -64,6 +64,16 @@ class CausalQuery:
         if self.exposure in self.conditioned or self.outcome in self.conditioned:
             raise IdentError("exposure and outcome cannot be design-conditioned")
 
+    @cached_property
+    def paths(self) -> tuple[Path, ...]:
+        """Every simple exposure-outcome path; walked at most once per query."""
+        return tuple(all_paths(self.dag, self.exposure, self.outcome))
+
+    @cached_property
+    def cut_dag(self) -> Dag:
+        """The graph without the exposure's outgoing edges."""
+        return Dag(self.dag.nodes, (e for e in self.dag.edges if e[0] != self.exposure))
+
 
 @dataclass(frozen=True)
 class NodeRole:
@@ -96,38 +106,29 @@ class RoleReport:
         return {node: role.as_dict() for node, role in sorted(self.roles.items())}
 
 
-@lru_cache(maxsize=4096)
-def _backdoor_paths(dag: Dag, exposure: str, outcome: str) -> tuple[Path, ...]:
-    return tuple(
-        p for p in all_paths(dag, exposure, outcome) if p.starts_into_origin()
-    )
-
-
 def backdoor_paths(query: CausalQuery) -> list[Path]:
     """All simple exposure-outcome paths whose first edge points into the exposure."""
-    return list(_backdoor_paths(query.dag, query.exposure, query.outcome))
+    return [p for p in query.paths if p.starts_into_origin()]
 
 
 def satisfies_backdoor(query: CausalQuery, adjustment: Iterable[str]) -> bool:
     """Back-door criterion for a candidate adjustment set.
 
-    True when the set, together with the design-conditioned nodes,
-    blocks every back-door path, and the set contains no descendant of
-    the exposure.
+    True when the set contains no descendant of the exposure and,
+    together with the design-conditioned nodes, d-separates exposure
+    and outcome once the exposure's outgoing edges are removed (Pearl's
+    back-door theorem: the same sets that block every back-door path).
     """
     s = frozenset(adjustment)
     if query.exposure in s or query.outcome in s:
         raise IdentError("adjustment set cannot contain the exposure or outcome")
-    unknown = s - query.measured
-    if unknown:
-        raise IdentError(f"adjustment set contains unmeasured nodes: {sorted(unknown)}")
-    if s & descendants(query.dag, query.exposure):
+    if not s <= query.measured:
+        unknown = sorted(s - query.measured)
+        raise IdentError(f"adjustment set contains unmeasured nodes: {unknown}")
+    if not s.isdisjoint(descendants(query.dag, query.exposure)):
         return False
-    conditioning = s | query.conditioned
-    return all(
-        path_blocked(query.dag, p, conditioning)
-        for p in _backdoor_paths(query.dag, query.exposure, query.outcome)
-    )
+    cut = query.cut_dag
+    return d_separated(cut, {query.exposure}, {query.outcome}, s | query.conditioned)
 
 
 def _candidate_pool(query: CausalQuery) -> list[str]:
@@ -164,35 +165,34 @@ def enumerate_adjustment_sets(
     return valid
 
 
-def classify_roles(query: CausalQuery, allow_large: bool = False) -> RoleReport:
+def classify_roles(query: CausalQuery) -> RoleReport:
     """Per-node structural flags relative to the exposure-outcome pair.
 
-    Path flags (back-door membership, collider, mediator) refer to
-    interior positions on simple exposure-outcome paths; descendant
-    flags are plain graph facts.
+    Back-door and collider flags refer to interior positions on simple
+    exposure-outcome paths.  Mediators are De(A) ∩ An(Y), the interiors
+    of directed exposure-outcome paths.  A candidate v lies in some
+    valid adjustment set iff ({v} ∪ An({A, Y, v} ∪ conditioned)) ∩ R
+    satisfies the back-door criterion, R being the candidate pool (the
+    ancestral-closure lemma of Tian, Paz & Pearl 1998); no subset is
+    enumerated.
     """
     dag = query.dag
-    paths = all_paths(dag, query.exposure, query.outcome)
+    anc = dag.ancestor_map
     on_backdoor: set[str] = set()
     colliders: set[str] = set()
-    mediators: set[str] = set()
-    for p in paths:
-        interior = p.nodes[1:-1]
+    for p in query.paths:
         if p.starts_into_origin():
-            on_backdoor.update(interior)
-        for i in p.collider_indices():
-            colliders.add(p.nodes[i])
-        if p.is_directed():
-            mediators.update(interior)
+            on_backdoor.update(p.nodes[1:-1])
+        colliders.update(p.nodes[i] for i in p.collider_indices())
 
-    desc_of_mediator: set[str] = set()
-    for m in mediators:
-        desc_of_mediator |= descendants(dag, m)
     desc_of_exposure = descendants(dag, query.exposure)
+    mediators = desc_of_exposure & anc[query.outcome]
+    desc_of_mediator = frozenset().union(*(descendants(dag, m) for m in mediators))
 
-    in_valid: set[str] = set()
-    for s in enumerate_adjustment_sets(query, allow_large=allow_large):
-        in_valid |= s
+    pool = frozenset(_candidate_pool(query))
+    fixed = {query.exposure, query.outcome} | query.conditioned
+    closure = pool & frozenset().union(*(anc[v] for v in fixed))
+    in_valid = {v for v in pool if satisfies_backdoor(query, {v} | closure | anc[v] & pool)}
 
     roles = {
         v: NodeRole(

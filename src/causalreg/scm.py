@@ -449,13 +449,38 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, source: str) -> "Dataset":
+        """Parse a header line and rows of finite numbers.
+
+        A short or long row, or a cell that is not a finite number, is
+        rejected with the CSV line (and the column) it sits on.
+        """
         reader = csv.reader(io.StringIO(source))
         try:
-            header = next(reader)
+            header = tuple(h.strip() for h in next(reader))
         except StopIteration:
             raise ValueError("empty CSV input") from None
-        rows = [[float(v) for v in row] for row in reader if row]
-        return cls(tuple(h.strip() for h in header), np.asarray(rows, dtype=float))
+        rows: list[list[float]] = []
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) != len(header):
+                raise ValueError(
+                    f"line {line}: expected {len(header)} fields, got {len(row)}"
+                )
+            values = []
+            for name, cell in zip(header, row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"line {line}, column {name!r}: {cell!r} is not a finite number"
+                    )
+                values.append(value)
+            rows.append(values)
+        return cls(header, np.asarray(rows, dtype=float))
 
 
 def _node_stream(seed: int, node: str, rep: int) -> np.random.Generator:

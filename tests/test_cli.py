@@ -71,6 +71,28 @@ class TestAnalyze:
         assert code == 2
         assert doc["adjustment_sets"] == []
 
+    def test_long_chain_exits_0(self, capsys, tmp_path):
+        names = ["A"] + [f"N{i}" for i in range(1, 1499)] + ["Y"]
+        path = tmp_path / "chain.dag"
+        path.write_text("\n".join(f"{a} -> {b}" for a, b in zip(names, names[1:])))
+        code, doc, err = run_json(
+            capsys, "analyze", "--dag", str(path), "--exposure", "A", "--outcome", "Y"
+        )
+        assert code == 0
+        assert doc["adjustment_sets"] == [[]]
+        assert doc["roles"]["N700"]["mediator"]
+        assert err == ""
+
+    def test_cycle_exits_1_naming_it(self, capsys, tmp_path):
+        path = tmp_path / "cycle.dag"
+        path.write_text("A -> Y\nL -> A\nY -> L\n")
+        code, out, err = run_cli(
+            capsys, "analyze", "--dag", str(path), "--exposure", "A", "--outcome", "Y"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: cycle detected: A -> Y -> L -> A\n"
+
 
 class TestMissingness:
     def test_fig5_report(self, capsys):
@@ -222,6 +244,21 @@ class TestFit:
         )
         assert code == 3
         assert "numerical failure" in err
+
+    @pytest.mark.parametrize("body, message", [
+        ("x,y\n1,2\n3,4,5\n", "error: line 3: expected 2 fields, got 3\n"),
+        ("x,y\n1,2\n3,x\n", "error: line 3, column 'y': 'x' is not a finite number\n"),
+        ("x,y\n1,2\n\n3,nan\n", "error: line 4, column 'y': 'nan' is not a finite number\n"),
+    ], ids=["ragged_row", "non_number", "nan_cell"])
+    def test_bad_csv_cell_names_line_and_column(self, capsys, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(body)
+        code, out, err = run_cli(
+            capsys, "fit", "--data", str(path), "--outcome", "y", "--covariates", "x",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == message
 
 
 class TestStudy:

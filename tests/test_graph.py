@@ -53,6 +53,24 @@ class TestParse:
             parse_dag("A -> Y\nY -> A")
         assert "A -> Y -> A" in str(exc.value)
 
+    def test_long_chain_parses(self):
+        names = [f"N{i}" for i in range(1500)]
+        dag = parse_dag("\n".join(f"{a} -> {b}" for a, b in zip(names, names[1:])))
+        assert dag.topological_order == tuple(names)
+
+    def test_long_ring_is_rejected(self):
+        names = [f"N{i}" for i in range(1500)]
+        ring = zip(names, names[1:] + names[:1])
+        with pytest.raises(CycleError) as exc:
+            parse_dag("\n".join(f"{a} -> {b}" for a, b in ring))
+        assert exc.value.cycle == (*names, "N0")
+
+    def test_cycle_named_without_nodes_off_it(self):
+        # D comes first and is cut off by the cycle, but is not on it.
+        with pytest.raises(CycleError) as exc:
+            parse_dag("D\nA -> B\nB -> A\nA -> D")
+        assert exc.value.cycle == ("A", "B", "A")
+
     def test_fig1c_node_and_edge_count(self):
         dag = dag_fixture("fig1c")
         assert len(dag.nodes) == 5
@@ -125,6 +143,13 @@ class TestAllPaths:
         dag = Dag(("A", "B", "C", "Y"), (("A", "Y"), ("A", "C"), ("C", "Y"), ("A", "B"), ("B", "Y")))
         sequences = [p.nodes for p in all_paths(dag, "A", "Y")]
         assert sequences == sorted(sequences)
+
+    def test_long_chain_single_path(self):
+        names = [f"N{i}" for i in range(1500)]
+        dag = Dag(names, zip(names, names[1:]))
+        (path,) = all_paths(dag, "N0", "N1499")
+        assert path.nodes == tuple(names)
+        assert all(path.forward)
 
     def test_identical_endpoints_rejected(self):
         with pytest.raises(GraphError):

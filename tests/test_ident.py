@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from causalreg import (
     CausalQuery,
     Dag,
+    all_paths,
     backdoor_paths,
     classify_roles,
     d_separated,
@@ -15,6 +16,7 @@ from causalreg import (
     descendants,
     enumerate_adjustment_sets,
     parse_dag,
+    path_blocked,
     satisfies_backdoor,
 )
 from causalreg.ident import EnumerationBoundError, IdentError
@@ -57,6 +59,22 @@ class TestBackdoorPaths:
             "A <- L1 -> L2 -> Y",
             "A <- L1 -> L2 <- U -> Y",
         }
+
+
+    def test_paths_walked_once_per_query(self, monkeypatch):
+        import causalreg.ident as ident
+
+        walks = []
+        real = ident.all_paths
+        monkeypatch.setattr(
+            ident, "all_paths", lambda *args: walks.append(args) or real(*args)
+        )
+        q = query("fig1c", unmeasured={"U"})
+        enumerate_adjustment_sets(q)
+        classify_roles(q)
+        backdoor_paths(q)
+        satisfies_backdoor(q, {"L1", "L2"})
+        assert len(walks) == 1
 
 
 class TestSatisfiesBackdoor:
@@ -188,6 +206,21 @@ class TestRoles:
         assert roles["L"].on_backdoor_path
         assert roles["L"].in_some_valid_adjustment_set
 
+    def test_valid_set_membership_closes_over_conditioned_ancestors(self):
+        # W joins a valid set only together with L, an ancestor of the
+        # selection node S that opens A <- U -> L -> S <- Y.
+        dag = parse_dag("U -> A\nU -> L\nL -> S\nY -> S\nW -> A")
+        roles = classify_roles(query(dag, unmeasured={"U"}, conditioned={"S"}))
+        assert roles["W"].in_some_valid_adjustment_set
+        assert roles["L"].in_some_valid_adjustment_set
+
+    def test_valid_set_membership_closes_over_the_nodes_ancestors(self):
+        # M is a collider on A <- U -> L -> M <- Y; {M, L} is valid.
+        dag = parse_dag("U -> A\nU -> L\nL -> M\nY -> M")
+        roles = classify_roles(query(dag, unmeasured={"U"}))
+        assert roles["M"].in_some_valid_adjustment_set
+        assert satisfies_backdoor(query(dag, unmeasured={"U"}), {"L", "M"})
+
     def test_mediator_implies_descendant_of_exposure(self):
         rng = random.Random(7)
         for _ in range(50):
@@ -202,3 +235,73 @@ class TestRoles:
                     assert role.descendant_of_exposure
                 if role.in_some_valid_adjustment_set:
                     assert not role.descendant_of_exposure
+
+
+def random_design_query(seed):
+    """A random query with unmeasured and design-conditioned nodes; about
+    one in five conditions on a descendant of the exposure."""
+    rng = random.Random(seed)
+    dag = random_dag(rng, rng.randint(3, 7), rng.choice([0.3, 0.5, 0.7]))
+    nodes = list(dag.nodes)
+    exposure, outcome = rng.sample(nodes, 2)
+    rest = [v for v in nodes if v not in (exposure, outcome)]
+    conditioned = frozenset(v for v in rest if rng.random() < 0.2)
+    unmeasured = frozenset(
+        v for v in rest if v not in conditioned and rng.random() < 0.25
+    )
+    measured = frozenset(nodes) - conditioned - unmeasured - {exposure}
+    return CausalQuery(dag, exposure, outcome, measured, conditioned)
+
+
+def path_oracle_valid(q, s):
+    """Back-door criterion by walking every path: no descendant of the
+    exposure in s, and s plus the conditioned nodes block every path
+    whose first edge points into the exposure."""
+    if s & descendants(q.dag, q.exposure):
+        return False
+    z = s | q.conditioned
+    return all(
+        path_blocked(q.dag, p, z)
+        for p in all_paths(q.dag, q.exposure, q.outcome)
+        if not p.forward[0]
+    )
+
+
+def subsets(nodes):
+    pool = sorted(nodes)
+    for size in range(len(pool) + 1):
+        for combo in combinations(pool, size):
+            yield frozenset(combo)
+
+
+class TestPathOracle:
+    """Independent checks: the oracle never calls d-separation."""
+
+    @settings(max_examples=150)
+    @given(st.integers(0, 10_000))
+    def test_satisfies_backdoor_matches_path_blocking(self, seed):
+        q = random_design_query(seed)
+        for s in subsets(q.measured - {q.outcome}):
+            assert satisfies_backdoor(q, s) == path_oracle_valid(q, s), sorted(s)
+
+    @settings(max_examples=150)
+    @given(st.integers(0, 10_000))
+    def test_role_membership_matches_union_of_listed_sets(self, seed):
+        q = random_design_query(seed)
+        valid = [s for s in subsets(q.measured - {q.outcome}) if path_oracle_valid(q, s)]
+        listed = enumerate_adjustment_sets(q)
+        assert sorted(map(sorted, listed)) == sorted(map(sorted, valid))
+        union = frozenset().union(*valid)
+        for v, role in classify_roles(q).roles.items():
+            assert role.in_some_valid_adjustment_set == (v in union), v
+
+    @settings(max_examples=150)
+    @given(st.integers(0, 10_000))
+    def test_mediators_are_interiors_of_directed_paths(self, seed):
+        q = random_design_query(seed)
+        interiors = set()
+        for p in all_paths(q.dag, q.exposure, q.outcome):
+            if all(p.forward):
+                interiors.update(p.nodes[1:-1])
+        for v, role in classify_roles(q).roles.items():
+            assert role.mediator == (v in interiors), v
