@@ -144,28 +144,6 @@ class Dag:
                     ready.append(child)
         return tuple(order)
 
-    @cached_property
-    def descendant_map(self) -> dict[str, frozenset[str]]:
-        out: dict[str, frozenset[str]] = {}
-        for v in reversed(self.topological_order):
-            acc: set[str] = set()
-            for c in self.children[v]:
-                acc.add(c)
-                acc |= out[c]
-            out[v] = frozenset(acc)
-        return out
-
-    @cached_property
-    def ancestor_map(self) -> dict[str, frozenset[str]]:
-        out: dict[str, frozenset[str]] = {}
-        for v in self.topological_order:
-            acc: set[str] = set()
-            for p in self.parents[v]:
-                acc.add(p)
-                acc |= out[p]
-            out[v] = frozenset(acc)
-        return out
-
     def require(self, name: str) -> None:
         if name not in self.node_set:
             raise UnknownNodeError(name)
@@ -275,16 +253,39 @@ def serialize_dag(dag: Dag) -> str:
     return "\n".join(lines) + "\n"
 
 
-def descendants(dag: Dag, v: str) -> frozenset[str]:
-    """All nodes reachable from ``v`` by directed edges, excluding ``v``."""
-    dag.require(v)
-    return dag.descendant_map[v]
+def _reach(step: dict[str, tuple[str, ...]], sources: Iterable[str]) -> frozenset[str]:
+    """Nodes one or more ``step`` moves away from some source.
+
+    A source is included only when it is reachable from a source.
+    """
+    seen: set[str] = set()
+    pending = list(sources)
+    while pending:
+        for w in step[pending.pop()]:
+            if w not in seen:
+                seen.add(w)
+                pending.append(w)
+    return frozenset(seen)
 
 
-def ancestors(dag: Dag, v: str) -> frozenset[str]:
-    """All nodes from which ``v`` is reachable, excluding ``v``."""
-    dag.require(v)
-    return dag.ancestor_map[v]
+def descendants(dag: Dag, *nodes: str) -> frozenset[str]:
+    """All nodes reachable by directed edges from some of ``nodes``.
+
+    A given node is included only when it descends from another.
+    """
+    for v in nodes:
+        dag.require(v)
+    return _reach(dag.children, nodes)
+
+
+def ancestors(dag: Dag, *nodes: str) -> frozenset[str]:
+    """All nodes from which some of ``nodes`` is reachable.
+
+    A given node is included only when it is an ancestor of another.
+    """
+    for v in nodes:
+        dag.require(v)
+    return _reach(dag.parents, nodes)
 
 
 def all_paths(dag: Dag, x: str, y: str) -> list[Path]:
@@ -334,15 +335,16 @@ def path_blocked(dag: Dag, path: Path, z: Iterable[str]) -> bool:
     """
     zset = frozenset(z)
     colliders = set(path.collider_indices())
-    desc = dag.descendant_map
+    opened: frozenset[str] | None = None  # Z ∪ An(Z), walked on first need
     for i in range(1, len(path.nodes) - 1):
         v = path.nodes[i]
         if i in colliders:
-            if v not in zset and not (desc[v] & zset):
+            if opened is None:
+                opened = zset | _reach(dag.parents, zset)
+            if v not in opened:
                 return True
-        else:
-            if v in zset:
-                return True
+        elif v in zset:
+            return True
     return False
 
 
@@ -373,7 +375,7 @@ def d_separated(dag: Dag, x: Iterable[str], y: Iterable[str], z: Iterable[str]) 
     ups, downs = list(xs), []  # entered against an edge / along an edge
     up_seen: set[str] = set()
     down_seen: set[str] = set()
-    z_ancestors: set[str] | None = None
+    z_ancestors: frozenset[str] | None = None
     while ups or downs:
         if ups:
             v = ups.pop()
@@ -395,13 +397,7 @@ def d_separated(dag: Dag, x: Iterable[str], y: Iterable[str], z: Iterable[str]) 
         if v not in zs:
             downs.extend(children[v])
         if z_ancestors is None:
-            z_ancestors = set(zs)
-            pending = list(zs)
-            while pending:
-                for p in parents[pending.pop()]:
-                    if p not in z_ancestors:
-                        z_ancestors.add(p)
-                        pending.append(p)
+            z_ancestors = zs | _reach(parents, zs)
         if v in z_ancestors:
             ups.extend(parents[v])
     return True

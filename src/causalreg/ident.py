@@ -12,7 +12,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
-from .graph import Dag, GraphError, Path, all_paths, d_separated, descendants
+from .graph import Dag, GraphError, Path, all_paths, ancestors, d_separated, descendants
 
 __all__ = [
     "CausalQuery",
@@ -70,6 +70,11 @@ class CausalQuery:
         return tuple(all_paths(self.dag, self.exposure, self.outcome))
 
     @cached_property
+    def exposure_descendants(self) -> frozenset[str]:
+        """De(A); the back-door test reads it once per candidate set."""
+        return descendants(self.dag, self.exposure)
+
+    @cached_property
     def cut_dag(self) -> Dag:
         """The graph without the exposure's outgoing edges."""
         return Dag(self.dag.nodes, (e for e in self.dag.edges if e[0] != self.exposure))
@@ -125,7 +130,7 @@ def satisfies_backdoor(query: CausalQuery, adjustment: Iterable[str]) -> bool:
     if not s <= query.measured:
         unknown = sorted(s - query.measured)
         raise IdentError(f"adjustment set contains unmeasured nodes: {unknown}")
-    if not s.isdisjoint(descendants(query.dag, query.exposure)):
+    if not s.isdisjoint(query.exposure_descendants):
         return False
     cut = query.cut_dag
     return d_separated(cut, {query.exposure}, {query.outcome}, s | query.conditioned)
@@ -134,7 +139,7 @@ def satisfies_backdoor(query: CausalQuery, adjustment: Iterable[str]) -> bool:
 def _candidate_pool(query: CausalQuery) -> list[str]:
     banned = (
         {query.exposure, query.outcome}
-        | descendants(query.dag, query.exposure)
+        | query.exposure_descendants
         | query.conditioned
     )
     return sorted(query.measured - banned)
@@ -177,7 +182,6 @@ def classify_roles(query: CausalQuery) -> RoleReport:
     enumerated.
     """
     dag = query.dag
-    anc = dag.ancestor_map
     on_backdoor: set[str] = set()
     colliders: set[str] = set()
     for p in query.paths:
@@ -185,14 +189,19 @@ def classify_roles(query: CausalQuery) -> RoleReport:
             on_backdoor.update(p.nodes[1:-1])
         colliders.update(p.nodes[i] for i in p.collider_indices())
 
-    desc_of_exposure = descendants(dag, query.exposure)
-    mediators = desc_of_exposure & anc[query.outcome]
-    desc_of_mediator = frozenset().union(*(descendants(dag, m) for m in mediators))
+    desc_of_exposure = query.exposure_descendants
+    mediators = desc_of_exposure & ancestors(dag, query.outcome)
+    desc_of_mediator = descendants(dag, *mediators)
 
     pool = frozenset(_candidate_pool(query))
-    fixed = {query.exposure, query.outcome} | query.conditioned
-    closure = pool & frozenset().union(*(anc[v] for v in fixed))
-    in_valid = {v for v in pool if satisfies_backdoor(query, {v} | closure | anc[v] & pool)}
+    closure = pool & ancestors(dag, query.exposure, query.outcome, *query.conditioned)
+    in_valid = {
+        v for v in pool - closure
+        if satisfies_backdoor(query, {v} | closure | ancestors(dag, v) & pool)
+    }
+    # A closure node's ancestors are in the closure already: one test for all.
+    if satisfies_backdoor(query, closure):
+        in_valid |= closure
 
     roles = {
         v: NodeRole(

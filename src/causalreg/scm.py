@@ -452,7 +452,8 @@ class Dataset:
         """Parse a header line and rows of finite numbers.
 
         A short or long row, or a cell that is not a finite number, is
-        rejected with the CSV line (and the column) it sits on.
+        rejected with the CSV line (and the column) it sits on; so is a
+        file without data rows.
         """
         reader = csv.reader(io.StringIO(source))
         try:
@@ -480,6 +481,8 @@ class Dataset:
                     )
                 values.append(value)
             rows.append(values)
+        if not rows:
+            raise ValueError("CSV input has a header but no data rows")
         return cls(header, np.asarray(rows, dtype=float))
 
 

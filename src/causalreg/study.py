@@ -16,7 +16,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -87,11 +86,21 @@ class Scenario:
             )
 
     def resolve_model(self) -> StructuralModel:
+        """The scenario's model; every column the scenario reads must be a node."""
         if "~" in self.model:
-            return parse_model(self.model, name=self.id)
-        if self.model not in MODEL_FIXTURES:
-            raise StudyError(f"unknown model fixture {self.model!r}")
-        return model_fixture(self.model)
+            model = parse_model(self.model, name=self.id)
+        elif self.model in MODEL_FIXTURES:
+            model = model_fixture(self.model)
+        else:
+            raise ValueError(f"scenario {self.id!r}: unknown model fixture {self.model!r}")
+        design = self.design
+        read = {design.outcome, *design.covariates, *design.squares, *self.require_ones}
+        missing = sorted(read.union(*design.interactions) - set(model.node_names))
+        if missing:
+            raise ValueError(
+                f"scenario {self.id!r}: column {missing[0]!r} is not a node of its model"
+            )
+        return model
 
     def display_label(self) -> str:
         return self.label if self.label is not None else self.id
@@ -324,33 +333,9 @@ def _replicate(
     return out
 
 
-@lru_cache(maxsize=64)
-def _oracle_truth(
-    model: str, exposure: str, outcome: str, estimand: str, n_oracle: int, seed: int
-) -> float:
-    resolved = (
-        parse_model(model) if "~" in model else model_fixture(model)
-    )
-    return true_effect(
-        resolved,
-        exposure=exposure,
-        outcome=outcome,
-        estimand=estimand,
-        n_oracle=n_oracle,
-        seed=seed,
-    ).value
-
-
-def _oracle_key(scenario: Scenario, config: StudyConfig) -> tuple:
-    """_oracle_truth's arguments for a scenario without an exact truth."""
-    return (
-        scenario.model,
-        scenario.target,
-        scenario.design.outcome,
-        scenario.estimand,
-        config.oracle_n,
-        config.seed,
-    )
+def _oracle_key(scenario: Scenario) -> tuple[str, str, str, str]:
+    """The model, exposure, outcome and estimand of a scenario's oracle."""
+    return (scenario.model, scenario.target, scenario.design.outcome, scenario.estimand)
 
 
 def _aggregate(
@@ -424,23 +409,28 @@ def run_study(
 ) -> BiasReport:
     """Run every scenario; results do not depend on the worker count.
 
-    One job list holds an oracle job per distinct truth oracle, first so
-    that the n=10^6 oracle overlaps the replications, then the
-    replications of each scenario in chunks of consecutive indices.
+    Each scenario's model is resolved, and checked, once.  One job list
+    holds a ``true_effect`` job per distinct oracle, first so that the
+    n=10^6 oracle overlaps the replications, then the replications of
+    each scenario in chunks of consecutive indices.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    oracle_keys = list(dict.fromkeys(
-        _oracle_key(s, config) for s in config.scenarios if s.true_value is None
-    ))
+    models = [s.resolve_model() for s in config.scenarios]
+    oracles: dict[tuple[str, str, str, str], StructuralModel] = {}
+    for scenario, model in zip(config.scenarios, models):
+        if scenario.true_value is None:
+            oracles.setdefault(_oracle_key(scenario), model)
     lanes = min(workers, os.cpu_count() or 1)
     chunk = max(1, min(
         math.ceil(config.replications / lanes), MAX_CHUNK_ROWS // config.sample_size
     ))
-    jobs: list[tuple[Callable, tuple]] = [(_oracle_truth, key) for key in oracle_keys]
+    jobs: list[tuple[Callable, tuple]] = [
+        (true_effect, (model, *key[1:], config.oracle_n, config.seed))
+        for key, model in oracles.items()
+    ]
     owners: list[str] = []
-    for scenario in config.scenarios:
-        model = scenario.resolve_model()
+    for scenario, model in zip(config.scenarios, models):
         for start in range(0, config.replications, chunk):
             reps = range(start, min(start + chunk, config.replications))
             jobs.append(
@@ -448,11 +438,11 @@ def run_study(
             )
             owners.append(scenario.id)
     outputs = _dispatch(jobs, workers)
-    truths = dict(zip(oracle_keys, outputs))
+    truths = {key: estimate.value for key, estimate in zip(oracles, outputs)}
     per_scenario: dict[str, list[tuple[int, float | None, str | None]]] = {
         s.id: [] for s in config.scenarios
     }
-    for scenario_id, batch in zip(owners, outputs[len(oracle_keys):]):
+    for scenario_id, batch in zip(owners, outputs[len(oracles):]):
         per_scenario[scenario_id].extend(batch)
 
     results: list[ScenarioResult] = []
@@ -461,7 +451,7 @@ def run_study(
         if scenario.true_value is not None:
             truth = (float(scenario.true_value), "exact")
         else:
-            truth = (truths[_oracle_key(scenario, config)], "oracle")
+            truth = (truths[_oracle_key(scenario)], "oracle")
         result, values = _aggregate(
             scenario, config, per_scenario[scenario.id], truth
         )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from causalreg import study
 from causalreg.cli import main, validate_report, ReportSchemaError
 
 
@@ -260,6 +261,16 @@ class TestFit:
         assert out == ""
         assert err == message
 
+    def test_header_only_csv_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("x,y\n")
+        code, out, err = run_cli(
+            capsys, "fit", "--data", str(path), "--outcome", "y", "--covariates", "x",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: CSV input has a header but no data rows\n"
+
 
 class TestStudy:
     def test_small_default_study_json(self, capsys, tmp_path):
@@ -304,6 +315,29 @@ class TestStudy:
         assert code == 1
         assert "scenario 0" in err
         assert "'design'" in err
+
+    @pytest.mark.parametrize("change, message", [
+        ({"model": "nosuch"}, "unknown model fixture 'nosuch'"),
+        ({"design": {"outcome": "Y", "covariates": ["A", "Q"]}},
+         "column 'Q' is not a node of its model"),
+        ({"require_ones": ["C"]}, "column 'C' is not a node of its model"),
+    ], ids=["unknown_fixture", "unknown_design_column", "unknown_required_column"])
+    def test_scenario_input_error_names_scenario(
+        self, capsys, tmp_path, monkeypatch, change, message
+    ):
+        def no_jobs(jobs, workers):
+            raise AssertionError("a job ran before the config was checked")
+
+        monkeypatch.setattr(study, "_dispatch", no_jobs)
+        scenario = {"id": "s", "model": "setup1", "target": "A", "true_value": 1.0,
+                    "design": {"outcome": "Y", "covariates": ["A", "L"]}, **change}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"replications": 2, "sample_size": 50,
+                                    "scenarios": [scenario]}))
+        code, out, err = run_cli(capsys, "study", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: scenario 's': {message}\n"
 
     def test_text_format(self, capsys):
         code, out, _ = run_cli(

@@ -228,6 +228,11 @@ class TestDSeparation:
         for _ in range(60):
             dag = random_dag(rng, rng.randint(3, 6))
             nodes = list(dag.nodes)
+            for size in range(len(nodes) + 1):
+                for s in combinations(nodes, size):
+                    for reach in (ancestors, descendants):
+                        one_by_one = [reach(dag, v) for v in s]
+                        assert reach(dag, *s) == frozenset().union(*one_by_one)
             for x, y in combinations(nodes, 2):
                 rest = [n for n in nodes if n not in (x, y)]
                 for size in range(len(rest) + 1):

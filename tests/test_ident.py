@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import causalreg
 from causalreg import (
     CausalQuery,
     Dag,
@@ -22,6 +26,19 @@ from causalreg import (
 from causalreg.ident import EnumerationBoundError, IdentError
 
 from conftest import random_dag
+
+CHAIN_ROLES_SCRIPT = """
+import resource, sys
+from causalreg import CausalQuery, Dag, classify_roles
+if sys.argv[1] == "roles":
+    xs = [f"X{i}" for i in range(3000)]
+    edges = list(zip(xs, xs[1:])) + [(xs[-1], "A"), ("A", "Y"), (xs[-1], "Y")]
+    dag = Dag(xs + ["A", "Y"], edges)
+    roles = classify_roles(CausalQuery(dag, "A", "Y", frozenset(xs)))
+    assert roles["X0"].in_some_valid_adjustment_set
+    assert roles[xs[-1]].on_backdoor_path
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
 
 
 def query(fixture, exposure="A", outcome="Y", unmeasured=(), conditioned=()):
@@ -137,7 +154,9 @@ class TestEnumeration:
         q = CausalQuery(dag, "A", "Y", frozenset(dag.nodes) - {"A", "Y"})
         with pytest.raises(EnumerationBoundError):
             enumerate_adjustment_sets(q)
-        assert frozenset() in enumerate_adjustment_sets(q, allow_large=True)
+        assert enumerate_adjustment_sets(
+            q, minimal_only=True, allow_large=True
+        ) == [frozenset()]
 
     def test_isolated_node_changes_no_verdict(self):
         base = dag_fixture("fig1a")
@@ -235,6 +254,21 @@ class TestRoles:
                     assert role.descendant_of_exposure
                 if role.in_some_valid_adjustment_set:
                     assert not role.descendant_of_exposure
+
+    def test_long_confounder_chain_stores_no_closure_per_node(self):
+        # X0 -> ... -> X2999 -> A -> Y with X2999 -> Y: a per-node
+        # ancestor map alone would hold about 4.5 million entries.
+        src = os.path.dirname(os.path.dirname(causalreg.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+
+        def peak_kb(mode):
+            out = subprocess.run(
+                [sys.executable, "-c", CHAIN_ROLES_SCRIPT, mode],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            return int(out.stdout)
+
+        assert peak_kb("roles") - peak_kb("import") < 50 * 1024
 
 
 def random_design_query(seed):

@@ -1,5 +1,6 @@
 import json
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from causalreg import (
     run_scenario,
     run_study,
     simulate,
+    true_effect,
 )
 from causalreg import study
 from causalreg._blas import blas_threads
@@ -153,6 +155,27 @@ class TestRun:
         config = small_config(("setup7",), replications=60, n=800)
         entry = run_study(config, workers=2).result("setup7")
         assert abs(entry.bias) < 5 * entry.mc_se
+
+    def test_each_distinct_oracle_runs_once_per_study(self, monkeypatch):
+        calls = []
+
+        def counting_true_effect(model, *args):
+            calls.append(args[:3])
+            return true_effect(model, *args)
+
+        monkeypatch.setattr(study, "true_effect", counting_true_effect)
+        inline = Scenario(
+            "inline", "A ~ bernoulli(0.5)\nY ~ normal(A, 1)\n",
+            DesignSpec("Y", ("A",)), target="A",
+        )
+        config = small_config(
+            ("setup1", "setup5_conditional", "setup5_crude"), replications=5, n=200
+        )
+        config = replace(config, scenarios=config.scenarios + (inline,))
+        for _ in range(2):
+            calls.clear()
+            run_study(config)
+            assert calls == [("A", "Y", "log_MOR"), ("A", "Y", "ATE")]
 
 
 class TestDeterminismAndOutput:
