@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -241,16 +242,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _build_design(args: argparse.Namespace) -> DesignSpec:
-    interactions = tuple(
-        tuple(pair.split(":")) for pair in _split_csv_list(args.interactions)
-    )
-    for pair in interactions:
-        if len(pair) != 2:
-            raise ValueError(f"interactions look like A:B, got {':'.join(pair)!r}")
     return DesignSpec(
         outcome=args.outcome,
         covariates=_split_csv_list(args.covariates),
-        interactions=interactions,
+        interactions=tuple(
+            tuple(pair.split(":")) for pair in _split_csv_list(args.interactions)
+        ),
         squares=_split_csv_list(args.squares),
     )
 
@@ -292,22 +289,17 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
-    if args.config == "default":
-        doc = default_study_config().as_dict()
-        if args.seed is None:
-            doc["seed"] = _default_seed()
-    else:
-        doc = json.loads(Path(args.config).read_text())
     # Explicit flags override whatever the config carries.
-    for key, value in (
-        ("replications", args.runs),
-        ("sample_size", args.n),
-        ("seed", args.seed),
-        ("oracle_n", args.oracle_n),
-    ):
-        if value is not None:
-            doc[key] = value
-    config = StudyConfig.from_dict(doc)
+    flags = {"replications": args.runs, "sample_size": args.n, "seed": args.seed,
+             "oracle_n": args.oracle_n}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    if args.config == "default":
+        if args.seed is None:
+            flags["seed"] = _default_seed()
+        config = default_study_config(**flags)
+    else:
+        config = StudyConfig.from_dict(json.loads(Path(args.config).read_text()))
+        config = replace(config, **flags)
     report = run_study(
         config, workers=args.workers, keep_estimates=bool(args.estimates_csv)
     )

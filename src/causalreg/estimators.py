@@ -73,8 +73,14 @@ class DesignSpec:
             self, "interactions", tuple(tuple(p) for p in self.interactions)
         )
         object.__setattr__(self, "squares", tuple(self.squares))
+        for pair in self.interactions:
+            if len(pair) != 2:
+                raise ValueError(f"interactions look like A:B, got {':'.join(pair)!r}")
         names = self.column_names()
-        if len(set(names)) != len(names):
+        # A:B and B:A are one column, and so are A:A and A^2.
+        products = [tuple(sorted(p)) for p in self.interactions]
+        products += [(v, v) for v in self.squares]
+        if len(set(names)) != len(names) or len(set(products)) != len(products):
             raise ValueError(f"duplicate design terms in {names}")
 
     def column_names(self) -> tuple[str, ...]:

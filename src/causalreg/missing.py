@@ -17,6 +17,7 @@ from .graph import (
     Dag,
     DagParseError,
     GraphError,
+    _reach,
     d_separated,
     parse_dag,
 )
@@ -217,24 +218,6 @@ def parse_mdag(text: str) -> MDag:
     return MDag(base, indicator_of, unmeasured=unmeasured)
 
 
-def _latent_reach(m: MDag, u: str) -> frozenset[str]:
-    """First non-unmeasured nodes reachable from ``u`` through unmeasured chains."""
-    hidden = m.unmeasured
-    reached: set[str] = set()
-    stack = list(m.base.children[u])
-    seen: set[str] = set()
-    while stack:
-        w = stack.pop()
-        if w in seen:
-            continue
-        seen.add(w)
-        if w in hidden:
-            stack.extend(m.base.children[w])
-        else:
-            reached.add(w)
-    return frozenset(reached)
-
-
 def classify_mechanism(m: MDag) -> MechanismVerdict:
     """Graphical missingness mechanism with justifying witnesses.
 
@@ -258,8 +241,11 @@ def classify_mechanism(m: MDag) -> MechanismVerdict:
     for p, c in touching:
         if p in partial or c in partial:
             violations.append(f"{p} -> {c}")
-    for u in sorted(m.unmeasured):
-        reach = _latent_reach(m, u)
+    # From an unmeasured node, the first other nodes along unmeasured chains.
+    hidden = m.unmeasured
+    step = {v: m.base.children[v] if v in hidden else () for v in m.base.nodes}
+    for u in sorted(hidden):
+        reach = _reach(step, (u,)) - hidden
         hit_indicators = sorted(reach & indicators)
         hit_fully = sorted(reach & m.fully_observed)
         for ind in hit_indicators:

@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import expit
 
+from ._readcsv import finite_cell, read_csv
 from .graph import Dag
 
 __all__ = [
@@ -73,12 +74,6 @@ class Term:
 
     coef: float
     names: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if len(self.names) > 2:
-            raise ModelParseError("terms multiply at most two node references")
-        if not math.isfinite(self.coef):
-            raise ModelParseError(f"non-finite coefficient {self.coef!r}")
 
     def render(self) -> str:
         if not self.names:
@@ -158,21 +153,15 @@ class Intervention:
 
 @dataclass(frozen=True, eq=False)
 class StructuralModel:
+    """Node laws in temporal order.
+
+    Built only by :func:`parse_model`, which rejects duplicate nodes and
+    forward references with their line, and by :func:`intervene`.
+    """
+
     specs: tuple[NodeSpec, ...]
     name: str | None = None
     interventions: tuple[Intervention, ...] = ()
-
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for spec in self.specs:
-            for ref in sorted(spec.referenced()):
-                if ref not in seen:
-                    raise ModelParseError(
-                        f"{spec.name!r} references {ref!r} before its declaration"
-                    )
-            if spec.name in seen:
-                raise ModelParseError(f"duplicate node {spec.name!r}")
-            seen.add(spec.name)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StructuralModel):
@@ -292,6 +281,9 @@ class _ExprParser:
         names: list[str] = []
         if kind == "num":
             coef *= float(value)
+            if not math.isfinite(coef):
+                col = self.tokens[self.i - 1][2]
+                raise ModelParseError(f"non-finite coefficient {coef!r}", self.line, col)
             nxt = self.peek()
             if nxt is None or nxt[1] != "*":
                 return Term(coef)
@@ -449,41 +441,13 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, source: str) -> "Dataset":
-        """Parse a header line and rows of finite numbers.
-
-        A short or long row, or a cell that is not a finite number, is
-        rejected with the CSV line (and the column) it sits on; so is a
-        file without data rows.
-        """
-        reader = csv.reader(io.StringIO(source))
-        try:
-            header = tuple(h.strip() for h in next(reader))
-        except StopIteration:
-            raise ValueError("empty CSV input") from None
-        rows: list[list[float]] = []
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != len(header):
-                raise ValueError(
-                    f"line {line}: expected {len(header)} fields, got {len(row)}"
-                )
-            values = []
-            for name, cell in zip(header, row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise ValueError(
-                        f"line {line}, column {name!r}: {cell!r} is not a finite number"
-                    )
-                values.append(value)
-            rows.append(values)
-        if not rows:
-            raise ValueError("CSV input has a header but no data rows")
-        return cls(header, np.asarray(rows, dtype=float))
+        """Parse a header line and rows of finite numbers (see :func:`read_csv`)."""
+        header, rows = read_csv(source)
+        values = [
+            [finite_cell(cell, line, name) for name, cell in zip(header, row)]
+            for line, row in rows
+        ]
+        return cls(header, np.asarray(values, dtype=float))
 
 
 def _node_stream(seed: int, node: str, rep: int) -> np.random.Generator:

@@ -29,6 +29,7 @@ from .scm import (
     ESTIMANDS,
     LOG_MOR,
     Dataset,
+    ModelParseError,
     StructuralModel,
     parse_model,
     simulate,
@@ -65,6 +66,30 @@ def _require(doc: object, fields: tuple[str, ...], where: str) -> None:
             raise ValueError(f"{where}: missing field {field!r}")
 
 
+def _is_names(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+# Kinds of JSON config fields: how an error describes them, and the test.
+_TEXT = ("a string", lambda v: isinstance(v, str))
+_LABEL = ("a string or null", lambda v: v is None or isinstance(v, str))
+_ARRAY = ("a JSON array", lambda v: isinstance(v, list))
+_NAMES = ("a JSON array of names", _is_names)
+_PAIRS = ("a JSON array of arrays of names",
+          lambda v: isinstance(v, list) and all(_is_names(p) for p in v))
+_INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_TRUTH = ("a finite number or null", lambda v: v is None or (
+    isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)))
+
+
+def _field(doc: dict, field: str, kind: tuple, where: str, default: object = None):
+    """``doc[field]`` (``default`` when absent), which must be of ``kind``."""
+    value = doc.get(field, default)
+    if not kind[1](value):
+        raise ValueError(f"{where}: field {field!r} must be {kind[0]}")
+    return value
+
+
 @dataclass(frozen=True)
 class Scenario:
     id: str
@@ -88,7 +113,10 @@ class Scenario:
     def resolve_model(self) -> StructuralModel:
         """The scenario's model; every column the scenario reads must be a node."""
         if "~" in self.model:
-            model = parse_model(self.model, name=self.id)
+            try:
+                model = parse_model(self.model, name=self.id)
+            except ModelParseError as exc:
+                raise ValueError(f"scenario {self.id!r}: {exc}") from None
         elif self.model in MODEL_FIXTURES:
             model = model_fixture(self.model)
         else:
@@ -120,26 +148,30 @@ class Scenario:
     @classmethod
     def from_dict(cls, doc: dict, index: int = 0) -> "Scenario":
         """A scenario from its JSON object, at position ``index`` of a config."""
-        where = f"scenario {index}"
-        _require(doc, ("id", "model", "design", "target"), where)
+        _require(doc, ("id", "model", "design", "target"), f"scenario {index}")
         design = doc["design"]
-        _require(design, ("outcome",), f"{where} design")
-        spec = DesignSpec(
-            outcome=design["outcome"],
-            covariates=tuple(design.get("covariates", ())),
-            interactions=tuple(tuple(p) for p in design.get("interactions", ())),
-            squares=tuple(design.get("squares", ())),
-        )
-        return cls(
-            id=doc["id"],
-            model=doc["model"],
-            design=spec,
-            target=doc["target"],
-            estimand=doc.get("estimand", ATE),
-            label=doc.get("label"),
-            true_value=doc.get("true_value"),
-            require_ones=tuple(doc.get("require_ones", ())),
-        )
+        _require(design, ("outcome",), f"scenario {index} design")
+        scenario_id = _field(doc, "id", _TEXT, f"scenario {index}")
+        where = f"scenario {scenario_id!r}"
+        spec = {
+            "outcome": _field(design, "outcome", _TEXT, where),
+            "covariates": _field(design, "covariates", _NAMES, where, []),
+            "interactions": _field(design, "interactions", _PAIRS, where, []),
+            "squares": _field(design, "squares", _NAMES, where, []),
+        }
+        fields = {
+            "id": scenario_id,
+            "model": _field(doc, "model", _TEXT, where),
+            "target": _field(doc, "target", _TEXT, where),
+            "estimand": _field(doc, "estimand", _TEXT, where, ATE),
+            "label": _field(doc, "label", _LABEL, where),
+            "true_value": _field(doc, "true_value", _TRUTH, where),
+            "require_ones": _field(doc, "require_ones", _NAMES, where, []),
+        }
+        try:
+            return cls(design=DesignSpec(**spec), **fields)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -170,16 +202,15 @@ class StudyConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StudyConfig":
-        _require(doc, (), "study config")
+        where = "study config"
+        _require(doc, (), where)
+        scenarios = _field(doc, "scenarios", _ARRAY, where, [])
         return cls(
-            scenarios=tuple(
-                Scenario.from_dict(s, index=i)
-                for i, s in enumerate(doc.get("scenarios", ()))
-            ),
-            replications=int(doc.get("replications", 1000)),
-            sample_size=int(doc.get("sample_size", 1000)),
-            seed=int(doc.get("seed", 0)),
-            oracle_n=int(doc.get("oracle_n", 1_000_000)),
+            scenarios=tuple(Scenario.from_dict(s, index=i) for i, s in enumerate(scenarios)),
+            replications=_field(doc, "replications", _INT, where, 1000),
+            sample_size=_field(doc, "sample_size", _INT, where, 1000),
+            seed=_field(doc, "seed", _INT, where, 0),
+            oracle_n=_field(doc, "oracle_n", _INT, where, 1_000_000),
         )
 
 

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+
+from ._readcsv import finite_cell, read_csv
 
 __all__ = [
     "StratifiedTable",
@@ -209,38 +209,34 @@ def load_table_csv(source: str) -> StratifiedTable:
 
     The weight column may also be named ``count`` or ``n``; duplicate
     (stratum, a, y) rows accumulate.  Weights normalize to
-    probabilities.
+    probabilities.  Rows follow the rules of :func:`read_csv`, and the
+    a, y and weight cells must be finite numbers.
     """
-    reader = csv.DictReader(io.StringIO(source))
-    if reader.fieldnames is None:
-        raise TableError("empty CSV input")
-    fields = {name.strip().lower(): name for name in reader.fieldnames}
-    weight_col = next(
-        (fields[k] for k in ("weight", "count", "n") if k in fields), None
-    )
+    header, rows = read_csv(source)
+    fields = {name.lower(): j for j, name in enumerate(header)}
+    weight = next((fields[k] for k in ("weight", "count", "n") if k in fields), None)
     missing = [k for k in ("stratum", "a", "y") if k not in fields]
-    if missing or weight_col is None:
+    if missing or weight is None:
         raise TableError(
             "CSV needs columns stratum, a, y and one of weight/count/n; "
-            f"got {reader.fieldnames}"
+            f"got {list(header)}"
         )
     labels: list[str] = []
     cells: dict[tuple[str, int, int], float] = {}
-    for i, row in enumerate(reader, start=2):
-        stratum = row[fields["stratum"]].strip()
-        try:
-            a = int(row[fields["a"]])
-            y = int(row[fields["y"]])
-            w = float(row[weight_col])
-        except (TypeError, ValueError) as exc:
-            raise TableError(f"row {i}: {exc}") from None
+    for line, row in rows:
+        a, y, w = (
+            finite_cell(row[j], line, header[j])
+            for j in (fields["a"], fields["y"], weight)
+        )
         if a not in (0, 1) or y not in (0, 1):
-            raise TableError(f"row {i}: a and y must be 0 or 1")
+            raise TableError(f"row {line}: a and y must be 0 or 1")
         if w < 0:
-            raise TableError(f"row {i}: negative weight")
+            raise TableError(f"row {line}: negative weight")
+        stratum = row[fields["stratum"]].strip()
         if stratum not in labels:
             labels.append(stratum)
-        cells[(stratum, a, y)] = cells.get((stratum, a, y), 0.0) + w
+        key = (stratum, int(a), int(y))
+        cells[key] = cells.get(key, 0.0) + w
     counts = np.zeros((len(labels), 2, 2))
     for (stratum, a, y), w in cells.items():
         counts[labels.index(stratum), a, y] = w

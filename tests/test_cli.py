@@ -306,6 +306,29 @@ class TestStudy:
         assert code == 0
         assert doc["scenarios"][0]["id"] == "only"
 
+    def test_flags_override_config_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("CAUSALREG_SEED", "abc")
+        path = tmp_path / "config.json"
+        path.write_text(_one_scenario_config())
+        code, doc, _ = run_json(
+            capsys, "study", "--config", str(path), "--runs", "3", "--n", "40",
+            "--seed", "5", "--oracle-n", "200000",
+        )
+        assert code == 0
+        config = doc["config"]
+        assert (config["replications"], config["sample_size"], config["seed"],
+                config["oracle_n"]) == (3, 40, 5, 200000)
+        assert doc["scenarios"][0]["replications"] == 3
+
+    def test_seed_flag_skips_the_seed_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("CAUSALREG_SEED", "abc")
+        code, doc, _ = run_json(
+            capsys, "study", "--runs", "2", "--n", "50", "--seed", "3",
+            "--oracle-n", "100000",
+        )
+        assert code == 0
+        assert doc["config"]["seed"] == 3
+
     def test_scenario_without_design_names_index_and_field(self, capsys, tmp_path):
         scenario = {"id": "x", "model": "setup1", "target": "A", "true_value": 1.0}
         path = tmp_path / "config.json"
@@ -321,7 +344,10 @@ class TestStudy:
         ({"design": {"outcome": "Y", "covariates": ["A", "Q"]}},
          "column 'Q' is not a node of its model"),
         ({"require_ones": ["C"]}, "column 'C' is not a node of its model"),
-    ], ids=["unknown_fixture", "unknown_design_column", "unknown_required_column"])
+        ({"model": "A ~ bernoulli(0.5)\nY ~ normal(A + , 1)\n"},
+         "line 2: unexpected end of expression"),
+    ], ids=["unknown_fixture", "unknown_design_column", "unknown_required_column",
+            "inline_model_syntax"])
     def test_scenario_input_error_names_scenario(
         self, capsys, tmp_path, monkeypatch, change, message
     ):
@@ -346,6 +372,73 @@ class TestStudy:
         )
         assert code == 0
         assert "scenario" in out
+
+
+def _one_scenario_config(scenario=None, **top):
+    scenario = {"id": "s", "model": "setup1", "target": "A", "true_value": 1.0,
+                "design": {"outcome": "Y", "covariates": ["A", "L"]}, **(scenario or {})}
+    return json.dumps({"replications": 2, "sample_size": 50,
+                       "scenarios": [scenario], **top})
+
+
+_TABLE_HEADER = "stratum,a,y,weight\ns,1,1,1\n"
+_COLLAPSE = ("collapse", "--measure", "odds_ratio", "--table")
+_STUDY = ("study", "--config")
+
+
+class TestInputErrors:
+    """Each bad input exits 1 with one line naming where it is wrong."""
+
+    @pytest.mark.parametrize("command, body, message", [
+        (_COLLAPSE, _TABLE_HEADER + "s,1,0\n", "line 3: expected 4 fields, got 3"),
+        (_COLLAPSE, _TABLE_HEADER + "s,1,0,1,9\n", "line 3: expected 4 fields, got 5"),
+        (_COLLAPSE, _TABLE_HEADER + "s,1,0,inf\n",
+         "line 3, column 'weight': 'inf' is not a finite number"),
+        (_COLLAPSE, _TABLE_HEADER + "s,1,0,-1\n", "row 3: negative weight"),
+        (("simulate", "--n", "5", "--model"), "X ~ normal(1e999, 1)\n",
+         "line 1, col 1: non-finite coefficient inf"),
+        (("study", "--runs", "2", "--config"), "[]",
+         "study config: expected a JSON object"),
+        (_STUDY, _one_scenario_config(replications="ten"),
+         "study config: field 'replications' must be an integer"),
+        (_STUDY, _one_scenario_config(scenarios="s"),
+         "study config: field 'scenarios' must be a JSON array"),
+        (_STUDY, _one_scenario_config({"design": {"outcome": "Y", "covariates": "AL"}}),
+         "scenario 's': field 'covariates' must be a JSON array of names"),
+        (_STUDY, _one_scenario_config({"model": 1}),
+         "scenario 's': field 'model' must be a string"),
+        (_STUDY, _one_scenario_config({"design": {
+            "outcome": "Y", "covariates": ["A", "L"], "interactions": [["A"]]}}),
+         "scenario 's': interactions look like A:B, got 'A'"),
+        (_STUDY, _one_scenario_config({"design": {
+            "outcome": "Y", "covariates": ["A", "L"], "interactions": ["AL"]}}),
+         "scenario 's': field 'interactions' must be a JSON array of arrays of names"),
+        (_STUDY, _one_scenario_config({"design": {
+            "outcome": "Y", "covariates": ["A", "L"],
+            "interactions": [["A", "L"], ["L", "A"]]}}),
+         "scenario 's': duplicate design terms in "
+         "('intercept', 'A', 'L', 'A:L', 'L:A')"),
+    ], ids=["table_short_row", "table_long_row", "table_inf_weight",
+            "table_negative_weight", "model_non_finite_coefficient",
+            "config_top_level_array", "config_replications_not_int",
+            "config_scenarios_not_array", "config_covariates_string",
+            "config_model_not_string", "config_interaction_arity",
+            "config_interaction_not_array", "config_interaction_both_orders"])
+    def test_input_file_error_exits_1(self, capsys, tmp_path, command, body, message):
+        path = tmp_path / "input"
+        path.write_text(body)
+        code, out, err = run_cli(capsys, *command, str(path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_fit_interaction_in_both_orders_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("A,L,Y\n0,1,2\n1,0,3\n1,1,1\n0,0,5\n1,1,4\n0,1,2\n")
+        code, out, err = run_cli(
+            capsys, "fit", "--data", str(path), "--covariates", "A,L",
+            "--interactions", "A:L,L:A",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: duplicate design terms in")
 
 
 class TestSchemaValidation:

@@ -60,6 +60,18 @@ class TestDesignSpec:
         with pytest.raises(ValueError, match="duplicate"):
             DesignSpec("Y", ("A", "A"))
 
+    @pytest.mark.parametrize("interactions, squares", [
+        ((("A", "L"), ("L", "A")), ()),
+        ((("L", "L"),), ("L",)),
+    ], ids=["both_orders", "self_interaction_and_square"])
+    def test_same_product_twice_rejected(self, interactions, squares):
+        with pytest.raises(ValueError, match="duplicate design terms"):
+            DesignSpec("Y", ("A", "L"), interactions=interactions, squares=squares)
+
+    def test_interaction_arity_checked(self):
+        with pytest.raises(ValueError, match="interactions look like A:B, got 'A'"):
+            DesignSpec("Y", ("A",), interactions=(("A",),))
+
     def test_interaction_and_square_columns(self):
         data = dataset(A=[1.0, 2.0], L=[3.0, 4.0], Y=[0.0, 0.0])
         spec = DesignSpec("Y", ("A",), interactions=(("A", "L"),), squares=("L",))
