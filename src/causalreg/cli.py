@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -72,7 +72,7 @@ _REPORT_FIELDS: dict[str, tuple[str, ...]] = {
                  "strictly_collapsible", "collapsible"),
     "fit": ("family", "coefficients",),
     "positivity": ("threshold", "min_propensity", "max_propensity", "flagged_rows"),
-    "noncompliance": ("itt", "as_treated", "per_protocol", "cace"),
+    "noncompliance": ("itt", "as_treated", "per_protocol", "cace", "control_uptake"),
     "study": ("config", "scenarios"),
 }
 
@@ -97,20 +97,18 @@ def validate_report(doc: dict) -> None:
         raise ReportSchemaError(f"{kind} report is missing fields {missing}")
 
 
-def _emit(doc: dict, output: str | None) -> None:
+def _write(text: str, output: str | None) -> None:
+    if output:
+        Path(output).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _emit(kind: str, body: dict, output: str | None) -> None:
+    """Write a ``kind`` report: the schema header, then ``body``, as JSON."""
+    doc = {"schema_version": SCHEMA_VERSION, "report": kind, **body}
     validate_report(doc)
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if output:
-        Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_text(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", output)
 
 
 def _read_source(arg: str, kind: str) -> str:
@@ -145,10 +143,6 @@ def _default_seed() -> int:
         raise ValueError(f"{SEED_ENV_VAR}={raw!r} is not an integer seed") from None
 
 
-def _render_paths(paths) -> list[str]:
-    return [p.render() for p in paths]
-
-
 # --- subcommands -------------------------------------------------------------
 
 
@@ -171,9 +165,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         query, minimal_only=args.minimal, allow_large=args.allow_large
     )
     roles = classify_roles(query)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "report": "analyze",
+    body = {
         "query": {
             "exposure": query.exposure,
             "outcome": query.outcome,
@@ -183,12 +175,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "nodes": sorted(dag.nodes),
             "edges": [f"{a} -> {b}" for a, b in sorted(dag.edges)],
         },
-        "backdoor_paths": _render_paths(backdoor_paths(query)),
+        "backdoor_paths": [p.render() for p in backdoor_paths(query)],
         "adjustment_sets": [sorted(s) for s in sets],
         "minimal_only": bool(args.minimal),
         "roles": roles.as_dict(),
     }
-    _emit(doc, args.output)
+    _emit("analyze", body, args.output)
     return EXIT_OK if sets else EXIT_NEGATIVE
 
 
@@ -198,33 +190,23 @@ def _cmd_missingness(args: argparse.Namespace) -> int:
         covariates = frozenset(_split_csv_list(args.covariates))
     else:
         covariates = mdag.substantive - {args.exposure, args.outcome}
-    body = missingness_report(mdag, args.exposure, args.outcome, covariates)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "report": "missingness",
-        "query": {
-            "exposure": args.exposure,
-            "outcome": args.outcome,
-            "covariates": sorted(covariates),
-        },
-        **body,
+    report = missingness_report(mdag, args.exposure, args.outcome, covariates)
+    query = {
+        "exposure": args.exposure,
+        "outcome": args.outcome,
+        "covariates": sorted(covariates),
     }
-    _emit(doc, args.output)
-    return EXIT_OK if body["complete_case_valid"] else EXIT_NEGATIVE
+    _emit("missingness", {"query": query, **report}, args.output)
+    return EXIT_OK if report["complete_case_valid"] else EXIT_NEGATIVE
 
 
 def _cmd_collapse(args: argparse.Namespace) -> int:
     table = load_table_csv(_read_source(args.table, "table"))
     report = effect_measure(table, args.measure, tolerance=args.tolerance)
     if args.format == "text":
-        _emit_text(render_table(table, [report]) + "\n", args.output)
+        _write(render_table(table, [report]) + "\n", args.output)
     else:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "report": "collapse",
-            **report.as_dict(),
-        }
-        _emit(doc, args.output)
+        _emit("collapse", report.as_dict(), args.output)
     return EXIT_OK if report.collapsible else EXIT_NEGATIVE
 
 
@@ -237,7 +219,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         model = intervene(model, Intervention(node.strip(), float(raw)))
     seed = _default_seed() if args.seed is None else args.seed
     data = simulate(model, args.n, seed)
-    _emit_text(data.to_csv(), args.output)
+    _write(data.to_csv(), args.output)
     return EXIT_OK
 
 
@@ -254,37 +236,24 @@ def _build_design(args: argparse.Namespace) -> DesignSpec:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     data = Dataset.from_csv(Path(args.data).read_text())
-    if args.positivity:
-        report = positivity_check(
-            data, args.exposure, _split_csv_list(args.covariates), args.threshold
-        )
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "report": "positivity",
-            **report.as_dict(),
-        }
-        _emit(doc, args.output)
-        return EXIT_OK
-    if args.noncompliance:
-        report = noncompliance_estimands(data)
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "report": "noncompliance",
-            **report.as_dict(),
-        }
-        _emit(doc, args.output)
-        return EXIT_OK
-    design = _build_design(args)
-    fitter = logistic_fit if args.family == "logistic" else ols_fit
-    fit = fitter(data, design)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "report": "fit",
-        "family": args.family,
-        "design": design.as_dict(),
-        **fit.as_dict(),
-    }
-    _emit(doc, args.output)
+    try:
+        if args.positivity:
+            kind, body = "positivity", asdict(positivity_check(
+                data, args.exposure, _split_csv_list(args.covariates), args.threshold
+            ))
+        elif args.noncompliance:
+            kind, body = "noncompliance", asdict(noncompliance_estimands(data))
+        else:
+            design = _build_design(args)
+            fitter = logistic_fit if args.family == "logistic" else ols_fit
+            kind, body = "fit", {
+                "family": args.family,
+                "design": design.as_dict(),
+                **fitter(data, design).as_dict(),
+            }
+    except KeyError as exc:  # a column the file lacks
+        raise ValueError(f"{args.data}: {exc.args[0]}") from None
+    _emit(kind, body, args.output)
     return EXIT_OK
 
 
@@ -300,20 +269,13 @@ def _cmd_study(args: argparse.Namespace) -> int:
     else:
         config = StudyConfig.from_dict(json.loads(Path(args.config).read_text()))
         config = replace(config, **flags)
-    report = run_study(
-        config, workers=args.workers, keep_estimates=bool(args.estimates_csv)
-    )
+    report = run_study(config, workers=args.workers)
     if args.estimates_csv:
         Path(args.estimates_csv).write_text(estimates_csv(report))
     if args.format == "text":
-        _emit_text(render_bias_table(report) + "\n", args.output)
+        _write(render_bias_table(report) + "\n", args.output)
     else:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "report": "study",
-            **report.as_dict(),
-        }
-        _emit(doc, args.output)
+        _emit("study", report.as_dict(), args.output)
     return EXIT_OK
 
 

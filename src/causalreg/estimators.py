@@ -319,17 +319,6 @@ class PositivityReport:
     flagged_rows: int
     n: int
 
-    def as_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "min_propensity": self.min_propensity,
-            "max_propensity": self.max_propensity,
-            "fraction_below": self.fraction_below,
-            "fraction_above": self.fraction_above,
-            "flagged_rows": self.flagged_rows,
-            "n": self.n,
-        }
-
 
 def positivity_check(
     data: Dataset,
@@ -367,14 +356,7 @@ class NoncomplianceEstimands:
     as_treated: float
     per_protocol: float
     cace: float
-
-    def as_dict(self) -> dict:
-        return {
-            "itt": self.itt,
-            "as_treated": self.as_treated,
-            "per_protocol": self.per_protocol,
-            "cace": self.cace,
-        }
+    control_uptake: float  # P(A=1 | Z=0); above 0 under two-sided non-compliance
 
 
 def _subgroup_mean(y: np.ndarray, mask: np.ndarray, label: str) -> float:
@@ -395,8 +377,8 @@ def noncompliance_estimands(
     intention-to-treat contrast by the uptake probability among those
     assigned to treatment, ``ITT / P(A=1 | Z=1)``.  That equals the Wald
     complier effect only under one-sided non-compliance (no uptake
-    among those assigned to control); otherwise the Wald denominator is
-    ``P(A=1 | Z=1) - P(A=1 | Z=0)``.
+    among those assigned to control, ``control_uptake == 0``); otherwise
+    the Wald denominator is ``P(A=1 | Z=1) - control_uptake``.
     """
     za = data.column(assigned)
     a = data.column(taken)
@@ -417,5 +399,6 @@ def noncompliance_estimands(
     if uptake == 0:
         raise FitError("no treatment uptake among those assigned to treatment")
     return NoncomplianceEstimands(
-        itt=itt, as_treated=as_treated, per_protocol=per_protocol, cace=itt / uptake
+        itt=itt, as_treated=as_treated, per_protocol=per_protocol, cace=itt / uptake,
+        control_uptake=float((a[za == 0] == 1).mean()),
     )

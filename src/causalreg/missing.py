@@ -147,9 +147,6 @@ class MechanismVerdict:
     label: str
     witnesses: tuple[str, ...] = ()
 
-    def as_dict(self) -> dict:
-        return {"label": self.label, "witnesses": list(self.witnesses)}
-
 
 @dataclass(frozen=True)
 class IndependenceStatement:

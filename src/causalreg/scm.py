@@ -401,19 +401,10 @@ def parse_model(text: str, name: str | None = None) -> StructuralModel:
 # --- sampling ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Provenance:
-    model: str | None
-    seed: int
-    rep: int = 0
-    interventions: tuple[Intervention, ...] = ()
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     names: tuple[str, ...]
     data: np.ndarray  # (n, len(names)) float64
-    provenance: Provenance | None = None
 
     def __post_init__(self) -> None:
         if self.data.ndim != 2 or self.data.shape[1] != len(self.names):
@@ -502,16 +493,18 @@ def simulate(model: StructuralModel, n: int, seed: int, rep: int = 0) -> Dataset
         else:  # pragma: no cover - parse_model admits no other kinds
             raise SimulationError(f"node {spec.name!r}: unknown distribution {spec.dist!r}")
     data = np.column_stack([columns[name] for name in model.node_names])
-    return Dataset(
-        model.node_names,
-        data,
-        Provenance(model.name, seed, rep, model.interventions),
-    )
+    return Dataset(model.node_names, data)
 
 
 def intervene(model: StructuralModel, intervention: Intervention) -> StructuralModel:
-    """Replace the target node's law with a constant; all else untouched."""
+    """Replace the target node's law with a constant; all else untouched.
+
+    A node takes at most one intervention: a second one would skip the
+    checks that the node's original law implies.
+    """
     spec = model.spec_for(intervention.node)
+    if any(iv.node == intervention.node for iv in model.interventions):
+        raise ValueError(f"{intervention.node!r} already has an intervention")
     if not math.isfinite(intervention.value):
         raise ValueError("intervention value must be finite")
     if spec.dist == "bernoulli" and intervention.value not in (0.0, 1.0):
@@ -520,9 +513,8 @@ def intervene(model: StructuralModel, intervention: Intervention) -> StructuralM
         )
     new_spec = NodeSpec(spec.name, "constant", (Expr.constant(intervention.value),))
     specs = tuple(new_spec if s.name == spec.name else s for s in model.specs)
-    kept = tuple(iv for iv in model.interventions if iv.node != intervention.node)
     return StructuralModel(
-        specs, name=model.name, interventions=kept + (intervention,)
+        specs, name=model.name, interventions=model.interventions + (intervention,)
     )
 
 
@@ -533,15 +525,6 @@ class EffectEstimate:
     mc_se: float
     n_oracle: int
     seed: int
-
-    def as_dict(self) -> dict:
-        return {
-            "estimand": self.estimand,
-            "value": self.value,
-            "mc_se": self.mc_se,
-            "n_oracle": self.n_oracle,
-            "seed": self.seed,
-        }
 
 
 def true_effect(

@@ -15,7 +15,7 @@ import io
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -28,6 +28,7 @@ from .scm import (
     ATE,
     ESTIMANDS,
     LOG_MOR,
+    ORACLE_MIN_N,
     Dataset,
     ModelParseError,
     StructuralModel,
@@ -187,6 +188,10 @@ class StudyConfig:
             raise ValueError("replications must be at least 1")
         if self.sample_size < 10:
             raise ValueError("sample_size must be at least 10")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if self.oracle_n < ORACLE_MIN_N:
+            raise ValueError(f"oracle_n must be at least {ORACLE_MIN_N}")
         ids = [s.id for s in self.scenarios]
         if len(set(ids)) != len(ids):
             raise ValueError("scenario ids must be unique")
@@ -228,33 +233,18 @@ class ScenarioResult:
     bias: float
     mc_se: float
 
-    def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "label": self.label,
-            "estimand": self.estimand,
-            "sample_size": self.sample_size,
-            "replications": self.replications,
-            "failures": self.failures,
-            "mean_estimate": self.mean_estimate,
-            "true_value": self.true_value,
-            "true_provenance": self.true_provenance,
-            "bias": self.bias,
-            "mc_se": self.mc_se,
-        }
-
 
 @dataclass(frozen=True)
 class BiasReport:
     config: StudyConfig
     results: tuple[ScenarioResult, ...]
     # per scenario id: (replication index, estimate) for successful replications
-    estimates: dict[str, tuple[tuple[int, float], ...]] | None = None
+    estimates: dict[str, tuple[tuple[int, float], ...]]
 
     def as_dict(self) -> dict:
         return {
             "config": self.config.as_dict(),
-            "scenarios": [r.as_dict() for r in self.results],
+            "scenarios": [asdict(r) for r in self.results],
         }
 
     def result(self, scenario_id: str) -> ScenarioResult:
@@ -435,9 +425,7 @@ def run_scenario(
     return run_study(replace(config, scenarios=(scenario,))).results[0]
 
 
-def run_study(
-    config: StudyConfig, workers: int = 1, keep_estimates: bool = False
-) -> BiasReport:
+def run_study(config: StudyConfig, workers: int = 1) -> BiasReport:
     """Run every scenario; results do not depend on the worker count.
 
     Each scenario's model is resolved, and checked, once.  One job list
@@ -488,11 +476,7 @@ def run_study(
         )
         results.append(result)
         estimates[scenario.id] = values
-    return BiasReport(
-        config=config,
-        results=tuple(results),
-        estimates=estimates if keep_estimates else None,
-    )
+    return BiasReport(config=config, results=tuple(results), estimates=estimates)
 
 
 def render_bias_table(report: BiasReport) -> str:
@@ -525,9 +509,7 @@ def render_bias_table(report: BiasReport) -> str:
 
 
 def estimates_csv(report: BiasReport) -> str:
-    """Per-replication estimates; requires run_study(keep_estimates=True)."""
-    if report.estimates is None:
-        raise StudyError("estimates were not kept; rerun with keep_estimates=True")
+    """Per-replication estimates, one row per successful replication."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["scenario", "replication", "estimate"])

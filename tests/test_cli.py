@@ -261,6 +261,24 @@ class TestFit:
         assert out == ""
         assert err == message
 
+    @pytest.mark.parametrize("flags, column", [
+        (("--covariates", "A,Q"), "Q"),
+        (("--positivity", "--covariates", "Q"), "Q"),
+        (("--noncompliance",), "A_assigned"),
+    ], ids=["fit", "positivity", "noncompliance"])
+    def test_missing_column_names_the_file(self, capsys, csv_path, flags, column):
+        code, out, err = run_cli(capsys, "fit", "--data", str(csv_path), *flags)
+        assert (code, out, err) == (1, "", f"error: {csv_path}: no column {column!r}\n")
+
+    def test_noncompliance_report(self, capsys, tmp_path):
+        path = tmp_path / "trial.csv"
+        path.write_text("A_assigned,A_taken,Y\n1,1,1\n1,1,1\n1,1,0\n1,0,1\n"
+                        "0,0,0\n0,0,1\n0,1,1\n0,0,0\n")
+        code, doc, _ = run_json(capsys, "fit", "--data", str(path), "--noncompliance")
+        assert code == 0
+        assert doc["cace"] == pytest.approx(1 / 3)
+        assert doc["control_uptake"] == 0.25
+
     def test_header_only_csv_exits_1(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("x,y\n")
@@ -365,6 +383,24 @@ class TestStudy:
         assert out == ""
         assert err == f"error: scenario 's': {message}\n"
 
+    @pytest.mark.parametrize("flags, seed_variable, message", [
+        (("--seed", "-3"), None, "seed must be non-negative"),
+        (("--oracle-n", "5"), None, "oracle_n must be at least 100000"),
+        ((), "-3", "seed must be non-negative"),
+    ], ids=["seed_flag", "oracle_n_flag", "seed_variable"])
+    def test_range_error_names_field_before_any_job(
+        self, capsys, monkeypatch, flags, seed_variable, message
+    ):
+        def no_jobs(jobs, workers):
+            raise AssertionError("a job ran before the config was checked")
+
+        monkeypatch.setattr(study, "_dispatch", no_jobs)
+        monkeypatch.delenv("CAUSALREG_SEED", raising=False)
+        if seed_variable is not None:
+            monkeypatch.setenv("CAUSALREG_SEED", seed_variable)
+        code, out, err = run_cli(capsys, "study", "--runs", "2", "--n", "50", *flags)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_text_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "study", "--runs", "3", "--n", "100", "--seed", "1",
@@ -403,6 +439,8 @@ class TestInputErrors:
          "study config: field 'replications' must be an integer"),
         (_STUDY, _one_scenario_config(scenarios="s"),
          "study config: field 'scenarios' must be a JSON array"),
+        (_STUDY, _one_scenario_config(seed=-3), "seed must be non-negative"),
+        (_STUDY, _one_scenario_config(oracle_n=5), "oracle_n must be at least 100000"),
         (_STUDY, _one_scenario_config({"design": {"outcome": "Y", "covariates": "AL"}}),
          "scenario 's': field 'covariates' must be a JSON array of names"),
         (_STUDY, _one_scenario_config({"model": 1}),
@@ -421,7 +459,8 @@ class TestInputErrors:
     ], ids=["table_short_row", "table_long_row", "table_inf_weight",
             "table_negative_weight", "model_non_finite_coefficient",
             "config_top_level_array", "config_replications_not_int",
-            "config_scenarios_not_array", "config_covariates_string",
+            "config_scenarios_not_array", "config_negative_seed",
+            "config_small_oracle_n", "config_covariates_string",
             "config_model_not_string", "config_interaction_arity",
             "config_interaction_not_array", "config_interaction_both_orders"])
     def test_input_file_error_exits_1(self, capsys, tmp_path, command, body, message):

@@ -250,10 +250,11 @@ class TestNoncompliance:
         assert est.as_treated == pytest.approx(est.itt)
         assert est.per_protocol == pytest.approx(est.itt)
         assert est.cace == pytest.approx(est.itt)
+        assert est.control_uptake == 0.0
 
     def test_eight_row_hand_fixture(self):
         # Hand arithmetic: ITT = 3/4 - 2/4, as-treated = 3/4 - 2/4,
-        # per-protocol = 2/3 - 1/3, CACE = (1/4) / (3/4).
+        # per-protocol = 2/3 - 1/3, CACE = (1/4) / (3/4), control uptake = 1/4.
         data = dataset(
             A_assigned=[1, 1, 1, 1, 0, 0, 0, 0],
             A_taken=[1, 1, 1, 0, 0, 0, 1, 0],
@@ -264,6 +265,7 @@ class TestNoncompliance:
         assert est.as_treated == pytest.approx(0.25)
         assert est.per_protocol == pytest.approx(1 / 3)
         assert est.cace == pytest.approx(1 / 3)
+        assert est.control_uptake == pytest.approx(1 / 4)
 
     def test_half_uptake_doubles_itt(self):
         data = dataset(

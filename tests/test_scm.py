@@ -190,7 +190,7 @@ class TestIntervene:
         m = intervene(model_fixture("setup1"), Intervention("A", 1.0))
         data = simulate(m, 200, seed=4)
         assert np.array_equal(data.column("A"), np.ones(200))
-        assert data.provenance.interventions == (Intervention("A", 1.0),)
+        assert m.interventions == (Intervention("A", 1.0),)
 
     def test_setup6_mediator_law_unchanged(self):
         m = intervene(model_fixture("setup6"), Intervention("A", 0.0))
@@ -198,12 +198,11 @@ class TestIntervene:
         data = simulate(m, 400_000, seed=21)
         assert data.column("M").mean() == pytest.approx(expit(0.5), abs=0.005)
 
-    def test_second_intervention_wins(self):
-        m = model_fixture("setup1")
-        twice = intervene(intervene(m, Intervention("A", 1.0)), Intervention("A", 0.0))
-        data = simulate(twice, 100, seed=4)
-        assert np.array_equal(data.column("A"), np.zeros(100))
-        assert twice.interventions == (Intervention("A", 0.0),)
+    def test_second_intervention_on_a_node_rejected(self):
+        once = intervene(model_fixture("setup1"), Intervention("A", 1.0))
+        for second in (0.0, 0.5):  # 0.5 would also break A's 0/1 support
+            with pytest.raises(ValueError, match="'A' already has an intervention"):
+                intervene(once, Intervention("A", second))
 
     def test_unknown_node(self):
         with pytest.raises(ModelParseError, match="unknown node"):

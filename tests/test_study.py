@@ -202,16 +202,21 @@ class TestDeterminismAndOutput:
 
     def test_estimates_csv(self):
         config = small_config(("setup1",), replications=6, n=100)
-        report = run_study(config, keep_estimates=True)
+        report = run_study(config)
         text = estimates_csv(report)
         lines = text.strip().splitlines()
         assert lines[0] == "scenario,replication,estimate"
         assert len(lines) == 7
 
-    def test_estimates_require_keep_flag(self):
-        report = run_study(small_config(("setup1",), replications=5, n=100))
-        with pytest.raises(StudyError, match="keep_estimates"):
-            estimates_csv(report)
+    def test_every_report_keeps_its_estimates(self):
+        config = small_config(("setup1", "setup3"), replications=5, n=100)
+        report = run_study(config, workers=2)
+        lines = estimates_csv(report).strip().splitlines()
+        assert lines[1:] == [
+            f"{sid},{rep},{value!r}"
+            for sid in ("setup1", "setup3") for rep, value in report.estimates[sid]
+        ]
+        assert [len(report.estimates[sid]) for sid in ("setup1", "setup3")] == [5, 5]
 
     def test_render_bias_table(self):
         report = run_study(small_config(("setup1",), replications=5, n=100))
@@ -240,7 +245,7 @@ class TestKernel:
         config = default_study_config(
             replications=7, sample_size=400, seed=11, oracle_n=100_000
         )
-        report = run_study(config, keep_estimates=True)
+        report = run_study(config)
         for scenario in config.scenarios:
             model = scenario.resolve_model()
             expected = {
