@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes follow one convention across subcommands: 0 success,
-1 input or validation error, 2 negative verdict (no valid adjustment
-set, complete-case analysis invalid, measure not collapsible),
-3 numerical failure.  stdout carries only the report; diagnostics go
+1 input, validation or usage error, 2 negative verdict (no valid
+adjustment set, complete-case analysis invalid, measure not
+collapsible), 3 numerical failure.  stdout carries only the report; diagnostics go
 to stderr.
 """
 
@@ -26,7 +26,7 @@ from .estimators import (
     ols_fit,
     positivity_check,
 )
-from .graph import GraphError, parse_dag
+from .graph import GraphError, hidden_nodes, parse_dag
 from .ident import CausalQuery, backdoor_paths, classify_roles, enumerate_adjustment_sets
 from .missing import missingness_report, parse_mdag
 from .scm import (
@@ -148,10 +148,8 @@ def _default_seed() -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     dag = parse_dag(_read_source(args.dag, "dag"))
-    if args.unmeasured is not None:
-        unmeasured = frozenset(_split_csv_list(args.unmeasured))
-    else:
-        unmeasured = frozenset(n for n in dag.nodes if n.startswith("U"))
+    names = None if args.unmeasured is None else _split_csv_list(args.unmeasured)
+    unmeasured = hidden_nodes(dag, names)
     conditioned = frozenset(_split_csv_list(args.conditioned))
     measured = frozenset(dag.nodes) - unmeasured - conditioned
     query = CausalQuery(
@@ -216,7 +214,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if "=" not in spec:
             raise ValueError(f"interventions look like NODE=VALUE, got {spec!r}")
         node, _, raw = spec.partition("=")
-        model = intervene(model, Intervention(node.strip(), float(raw)))
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ValueError(f"--intervene {spec}: {raw!r} is not a number") from None
+        model = intervene(model, Intervention(node.strip(), value))
     seed = _default_seed() if args.seed is None else args.seed
     data = simulate(model, args.n, seed)
     _write(data.to_csv(), args.output)
@@ -364,8 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; 2 is a verdict here
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (GraphError, ModelParseError, TableError, FileNotFoundError,

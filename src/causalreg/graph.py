@@ -19,6 +19,7 @@ __all__ = [
     "DagParseError",
     "CycleError",
     "UnknownNodeError",
+    "hidden_nodes",
     "parse_dag",
     "serialize_dag",
     "ancestors",
@@ -147,6 +148,17 @@ class Dag:
     def require(self, name: str) -> None:
         if name not in self.node_set:
             raise UnknownNodeError(name)
+
+
+def hidden_nodes(dag: Dag, names: Iterable[str] | None = None) -> frozenset[str]:
+    """The unmeasured nodes: ``names``, each a node of ``dag``, or by
+    default every node whose name starts with ``U``."""
+    if names is None:
+        return frozenset(v for v in dag.nodes if v.startswith("U"))
+    hidden = tuple(names)
+    for name in hidden:
+        dag.require(name)
+    return frozenset(hidden)
 
 
 def _a_cycle(dag: Dag) -> list[str]:

@@ -19,6 +19,7 @@ from .graph import (
     GraphError,
     _reach,
     d_separated,
+    hidden_nodes,
     parse_dag,
 )
 
@@ -76,12 +77,7 @@ class MDag:
         indicators = frozenset(self.indicator_of.values())
         partial = frozenset(self.indicator_of)
         if fully_observed is None:
-            if unmeasured is None:
-                hidden = frozenset(
-                    v for v in base.nodes if v.startswith("U")
-                ) - indicators - partial
-            else:
-                hidden = frozenset(unmeasured)
+            hidden = hidden_nodes(base, unmeasured)
             fully = frozenset(base.nodes) - indicators - partial - hidden
         else:
             fully = frozenset(fully_observed)

@@ -17,6 +17,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -189,171 +190,162 @@ class StructuralModel:
         return "\n".join(spec.render() for spec in self.specs) + "\n"
 
 
-# --- expression parsing ----------------------------------------------------
+# --- model text parsing ------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
+    r"(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*^(),]))"
-)
-
-
-def _tokenize(text: str, line: int | None) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ModelParseError(
-                    f"unexpected character {text[pos:].strip()[0]!r}", line, pos + 1
-                )
-            break
-        pos = m.end()
-        kind = m.lastgroup or ""
-        tokens.append((kind, m.group(kind), m.start(kind) + 1))
-    return tokens
-
-
-class _ExprParser:
-    def __init__(self, tokens: list[tuple[str, str, int]], line: int | None):
-        self.tokens = tokens
-        self.line = line
-        self.i = 0
-
-    def error(self, message: str) -> ModelParseError:
-        col = self.tokens[self.i][2] if self.i < len(self.tokens) else None
-        return ModelParseError(message, self.line, col)
-
-    def peek(self) -> tuple[str, str] | None:
-        if self.i < len(self.tokens):
-            kind, value, _ = self.tokens[self.i]
-            return kind, value
-        return None
-
-    def take(self) -> tuple[str, str]:
-        if self.i >= len(self.tokens):
-            raise ModelParseError("unexpected end of expression", self.line)
-        kind, value, _ = self.tokens[self.i]
-        self.i += 1
-        return kind, value
-
-    def expect(self, value: str) -> None:
-        got = self.peek()
-        if got is None or got[1] != value:
-            raise self.error(f"expected {value!r}")
-        self.take()
-
-    def parse_expr(self) -> Expr:
-        nxt = self.peek()
-        if nxt is not None and nxt[0] == "ident" and nxt[1] == "plogis":
-            self.take()
-            self.expect("(")
-            inner = self.parse_sum()
-            self.expect(")")
-            expr = Expr(inner.terms, logistic=True)
-        else:
-            expr = self.parse_sum()
-        if self.i != len(self.tokens):
-            raise self.error("trailing input after expression")
-        return expr
-
-    def parse_sum(self) -> Expr:
-        terms: list[Term] = []
-        sign = 1.0
-        nxt = self.peek()
-        if nxt is not None and nxt[1] in "+-":
-            sign = -1.0 if nxt[1] == "-" else 1.0
-            self.take()
-        terms.append(self.parse_term(sign))
-        while True:
-            nxt = self.peek()
-            if nxt is None or nxt[1] not in "+-":
-                break
-            sign = -1.0 if nxt[1] == "-" else 1.0
-            self.take()
-            terms.append(self.parse_term(sign))
-        return Expr(tuple(terms))
-
-    def parse_term(self, sign: float) -> Term:
-        kind, value = self.take()
-        coef = sign
-        names: list[str] = []
-        if kind == "num":
-            coef *= float(value)
-            if not math.isfinite(coef):
-                col = self.tokens[self.i - 1][2]
-                raise ModelParseError(f"non-finite coefficient {coef!r}", self.line, col)
-            nxt = self.peek()
-            if nxt is None or nxt[1] != "*":
-                return Term(coef)
-            self.take()
-            kind, value = self.take()
-        if kind != "ident":
-            raise self.error("expected a node name")
-        if value == "plogis":
-            raise self.error("plogis may only wrap a whole parameter expression")
-        nxt = self.peek()
-        if nxt is not None and nxt[1] == "(":
-            raise self.error(f"unknown function {value!r}; only plogis is supported")
-        names.append(value)
-        while True:
-            nxt = self.peek()
-            if nxt is None or nxt[1] not in ("*", "^"):
-                break
-            op = self.take()[1]
-            if op == "^":
-                kind, value = self.take()
-                if kind != "num" or float(value) != 2.0:
-                    raise self.error("only squares (^2) are supported")
-                names.append(names[-1])
-            else:
-                kind, value = self.take()
-                if kind == "num":
-                    raise self.error("write the coefficient before the node names")
-                if value == "plogis":
-                    raise self.error("plogis may only wrap a whole parameter expression")
-                names.append(value)
-        if len(names) > 2:
-            raise self.error("terms multiply at most two node references")
-        return Term(coef, tuple(names))
-
-
-def parse_expr(text: str, line: int | None = None) -> Expr:
-    """Parse a parameter expression such as ``plogis(-0.5 + 2*L)``."""
-    tokens = _tokenize(text, line)
-    if not tokens:
-        raise ModelParseError("empty expression", line)
-    return _ExprParser(tokens, line).parse_expr()
-
-
-_DECL_RE = re.compile(
-    r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*~\s*([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)\s*\Z"
+    r"|(?P<op>[-+*^(),~])"
+    r"|(?P<bad>\S)"
 )
 
 _DISTRIBUTIONS = {"normal": 2, "bernoulli": 1}
 
 
-def _split_args(body: str, line: int) -> list[str]:
-    parts: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ModelParseError("unbalanced parentheses", line)
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if depth != 0:
-        raise ModelParseError("unbalanced parentheses", line)
-    parts.append("".join(current))
-    return parts
+class _Token(NamedTuple):
+    kind: str  # "num", "ident", "op" or "end"
+    text: str
+    col: int  # 1-based column in the line
+
+
+class _Parser:
+    """Recursive descent over the tokens of one model line or parameter.
+
+    Each error names the column of the token where reading stopped.
+    """
+
+    def __init__(self, text: str, line: int | None):
+        self.line = line
+        self.tokens: list[_Token] = []
+        for m in _TOKEN_RE.finditer(text):
+            if m.lastgroup == "bad":
+                raise ModelParseError(
+                    f"unexpected character {m.group()!r}", line, m.start() + 1
+                )
+            self.tokens.append(_Token(m.lastgroup or "", m.group(), m.start() + 1))
+        self.tokens.append(_Token("end", "", len(text) + 1))
+        self.i = 0
+        self.node: str | None = None  # set while reading a declaration
+        self.declared: set[str] = set()
+
+    def error(self, message: str, token: _Token | None = None) -> ModelParseError:
+        return ModelParseError(message, self.line, (token or self.peek()).col)
+
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
+
+    def take(self) -> _Token:
+        self.i += 1
+        return self.tokens[self.i - 1]
+
+    def expect(self, text: str) -> None:
+        if self.peek().text != text:
+            raise self.error(f"expected {text!r}")
+        self.i += 1
+
+    def ident(self, what: str) -> _Token:
+        if self.peek().kind != "ident":
+            raise self.error(f"expected {what}")
+        return self.take()
+
+    def finish(self, what: str) -> None:
+        if self.peek().kind != "end":
+            raise self.error(f"trailing input after {what}")
+
+    def declaration(self, declared: set[str]) -> NodeSpec:
+        """``node ~ dist(param, ...)``; parameters may reference only ``declared``."""
+        node = self.ident("a node name")
+        if node.text in declared:
+            raise self.error(f"duplicate node {node.text!r}", node)
+        self.expect("~")
+        dist = self.ident("a distribution name")
+        if dist.text not in _DISTRIBUTIONS:
+            raise self.error(
+                f"unknown distribution {dist.text!r}; expected normal or bernoulli", dist
+            )
+        self.expect("(")
+        self.node, self.declared = node.text, declared
+        params = [self.parameter()]
+        while self.peek().text == ",":
+            self.take()
+            params.append(self.parameter())
+        close = self.peek()
+        self.expect(")")
+        arity = _DISTRIBUTIONS[dist.text]
+        if len(params) != arity:
+            raise self.error(
+                f"{dist.text} takes {arity} argument(s), got {len(params)}", close
+            )
+        self.finish("declaration")
+        return NodeSpec(node.text, dist.text, tuple(params))
+
+    def parameter(self) -> Expr:
+        if self.peek().text != "plogis":
+            return Expr(self.sum())
+        self.take()
+        self.expect("(")
+        terms = self.sum()
+        self.expect(")")
+        return Expr(terms, logistic=True)
+
+    def sum(self) -> tuple[Term, ...]:
+        terms = [self.term(self.sign())]
+        while self.peek().text in ("+", "-"):
+            terms.append(self.term(self.sign()))
+        return tuple(terms)
+
+    def sign(self) -> float:
+        if self.peek().text in ("+", "-"):
+            return -1.0 if self.take().text == "-" else 1.0
+        return 1.0
+
+    def term(self, sign: float) -> Term:
+        coef = sign
+        if self.peek().kind == "num":
+            number = self.take()
+            coef *= float(number.text)
+            if not math.isfinite(coef):
+                raise self.error(f"non-finite coefficient {coef!r}", number)
+            if self.peek().text != "*":
+                return Term(coef)
+            self.take()
+        names = [self.name()]
+        while self.peek().text in ("*", "^"):
+            if len(names) == 2:
+                raise self.error("terms multiply at most two node references")
+            if self.take().text == "*":
+                if self.peek().kind == "num":
+                    raise self.error("write the coefficient before the node names")
+                names.append(self.name())
+            elif self.peek().kind == "num" and float(self.peek().text) == 2.0:
+                self.take()
+                names.append(names[-1])
+            else:
+                raise self.error("only squares (^2) are supported")
+        return Term(coef, tuple(names))
+
+    def name(self) -> str:
+        """A node reference: an identifier other than plogis, not called."""
+        token = self.ident("a node name")
+        if token.text == "plogis":
+            raise self.error("plogis may only wrap a whole parameter expression", token)
+        if self.peek().text == "(":
+            raise self.error(
+                f"unknown function {token.text!r}; only plogis is supported", token
+            )
+        if self.node is not None and token.text not in self.declared:
+            raise self.error(
+                f"{self.node!r} references {token.text!r} before its declaration", token
+            )
+        return token.text
+
+
+def parse_expr(text: str, line: int | None = None) -> Expr:
+    """Parse a parameter expression such as ``plogis(-0.5 + 2*L)``."""
+    parser = _Parser(text, line)
+    expr = parser.parameter()
+    parser.finish("expression")
+    return expr
 
 
 def parse_model(text: str, name: str | None = None) -> StructuralModel:
@@ -366,33 +358,9 @@ def parse_model(text: str, name: str | None = None) -> StructuralModel:
     declared: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        m = _DECL_RE.match(line)
-        if not m:
-            raise ModelParseError(f"unrecognized declaration: {line.strip()!r}", lineno)
-        node, dist, body = m.group(1), m.group(2), m.group(3)
-        if node in declared:
-            raise ModelParseError(f"duplicate node {node!r}", lineno)
-        if dist not in _DISTRIBUTIONS:
-            raise ModelParseError(
-                f"unknown distribution {dist!r}; expected normal or bernoulli", lineno
-            )
-        args = _split_args(body, lineno)
-        if len(args) != _DISTRIBUTIONS[dist]:
-            raise ModelParseError(
-                f"{dist} takes {_DISTRIBUTIONS[dist]} argument(s), got {len(args)}",
-                lineno,
-            )
-        params = tuple(parse_expr(arg, lineno) for arg in args)
-        for expr in params:
-            for ref in sorted(expr.variables()):
-                if ref not in declared:
-                    raise ModelParseError(
-                        f"{node!r} references {ref!r} before its declaration", lineno
-                    )
-        declared.add(node)
-        specs.append(NodeSpec(node, dist, params))
+        if line.strip():
+            specs.append(_Parser(line, lineno).declaration(declared))
+            declared.add(specs[-1].name)
     if not specs:
         raise ModelParseError("model declares no nodes")
     return StructuralModel(tuple(specs), name=name)

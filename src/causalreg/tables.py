@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -172,8 +173,13 @@ def effect_measure(
     Strict collapsibility requires every stratum value to equal the
     marginal value; plain collapsibility requires the marginal value to
     lie within the range spanned by the stratum values (the weighted
-    average criterion).  Comparisons use a relative tolerance.
+    average criterion).  Comparisons use a relative tolerance, which
+    must be finite and not negative.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise TableError(
+            f"tolerance must be a finite non-negative number, got {tolerance!r}"
+        )
     stratum_values = tuple(
         _measure_value(
             measure,

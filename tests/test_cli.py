@@ -363,7 +363,7 @@ class TestStudy:
          "column 'Q' is not a node of its model"),
         ({"require_ones": ["C"]}, "column 'C' is not a node of its model"),
         ({"model": "A ~ bernoulli(0.5)\nY ~ normal(A + , 1)\n"},
-         "line 2: unexpected end of expression"),
+         "line 2, col 16: expected a node name"),
     ], ids=["unknown_fixture", "unknown_design_column", "unknown_required_column",
             "inline_model_syntax"])
     def test_scenario_input_error_names_scenario(
@@ -432,7 +432,9 @@ class TestInputErrors:
          "line 3, column 'weight': 'inf' is not a finite number"),
         (_COLLAPSE, _TABLE_HEADER + "s,1,0,-1\n", "row 3: negative weight"),
         (("simulate", "--n", "5", "--model"), "X ~ normal(1e999, 1)\n",
-         "line 1, col 1: non-finite coefficient inf"),
+         "line 1, col 12: non-finite coefficient inf"),
+        (("missingness", "--exposure", "A", "--outcome", "Y", "--mdag"),
+         "A -> Y\nunmeasured: Q\n", "unknown node 'Q'"),
         (("study", "--runs", "2", "--config"), "[]",
          "study config: expected a JSON object"),
         (_STUDY, _one_scenario_config(replications="ten"),
@@ -458,6 +460,7 @@ class TestInputErrors:
          "('intercept', 'A', 'L', 'A:L', 'L:A')"),
     ], ids=["table_short_row", "table_long_row", "table_inf_weight",
             "table_negative_weight", "model_non_finite_coefficient",
+            "mdag_unknown_unmeasured",
             "config_top_level_array", "config_replications_not_int",
             "config_scenarios_not_array", "config_negative_seed",
             "config_small_oracle_n", "config_covariates_string",
@@ -468,6 +471,35 @@ class TestInputErrors:
         path.write_text(body)
         code, out, err = run_cli(capsys, *command, str(path))
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("simulate", "--model", "setup1", "--n", "3", "--intervene", "A=abc"),
+         "--intervene A=abc: 'abc' is not a number"),
+        (_COLLAPSE + ("table1", "--tolerance", "-1"),
+         "tolerance must be a finite non-negative number, got -1.0"),
+        (_COLLAPSE + ("table1", "--tolerance", "nan"),
+         "tolerance must be a finite non-negative number, got nan"),
+        (("analyze", "--dag", "fig1a", "--exposure", "A", "--outcome", "Y",
+          "--unmeasured", "Q"), "unknown node 'Q'"),
+    ], ids=["intervene_not_a_number", "negative_tolerance", "nan_tolerance",
+            "unknown_unmeasured"])
+    def test_flag_error_exits_1(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("collapse", "--table", "table1", "--measure", "foo"),
+        ("study", "--runs", "abc"),
+        (),
+    ], ids=["unknown_measure", "runs_not_int", "no_subcommand"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: causalreg")
+
+    def test_help_exits_0(self, capsys):
+        code, out, err = run_cli(capsys, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: causalreg")
 
     def test_fit_interaction_in_both_orders_exits_1(self, capsys, tmp_path):
         path = tmp_path / "data.csv"

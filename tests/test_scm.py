@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import expit
 from scipy.stats import ks_2samp
@@ -22,6 +24,7 @@ from causalreg import (
     simulate,
     true_effect,
 )
+from causalreg.scm import Expr, NodeSpec, StructuralModel, Term
 
 
 def gaussian_mean(f, mu, sd):
@@ -71,6 +74,72 @@ class TestExprParsing:
     def test_three_way_product_rejected(self):
         with pytest.raises(ModelParseError, match="at most two"):
             parse_expr("A*B*C")
+
+
+_COEFS = st.one_of(
+    st.sampled_from([1.0, -1.0, 1e300, -1e-300, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _exprs(names):
+    """1-4 terms: constants, c*X, X*Y, c*X*Y, X^2 and c*X^2 over ``names``."""
+    refs = st.lists(st.sampled_from(names), max_size=2) if names else st.just([])
+    terms = st.builds(Term, _COEFS, refs.map(tuple))
+    return st.builds(Expr, st.lists(terms, min_size=1, max_size=4).map(tuple),
+                     st.booleans())
+
+
+@st.composite
+def _models(draw):
+    specs = []
+    for name in ("A", "L", "Y_1", "B2")[: draw(st.integers(1, 4))]:
+        names = [spec.name for spec in specs]
+        dist, arity = draw(st.sampled_from([("normal", 2), ("bernoulli", 1)]))
+        params = tuple(draw(_exprs(names)) for _ in range(arity))
+        specs.append(NodeSpec(name, dist, params))
+    return StructuralModel(tuple(specs))
+
+
+class TestGrammar:
+    @given(_exprs(["A", "L", "Y_1"]))
+    def test_expr_render_round_trip(self, expr):
+        assert parse_expr(expr.render()) == expr
+
+    @given(_models())
+    def test_model_render_round_trip(self, model):
+        assert parse_model(model.render()) == model
+
+    @pytest.mark.parametrize("param, offset, message", [
+        ("1e999", 0, "non-finite coefficient inf"),
+        ("2 - 1e999*L", 4, "non-finite coefficient -inf"),
+        ("$", 0, "unexpected character '$'"),
+        ("L*3", 2, "write the coefficient before the node names"),
+        ("(1)", 0, "expected a node name"),
+        ("L * +", 4, "expected a node name"),
+        ("A + ,", 4, "expected a node name"),
+        ("A*L*L", 3, "terms multiply at most two node references"),
+        ("L^3", 2, "only squares (^2) are supported"),
+        ("exp(L)", 0, "unknown function 'exp'; only plogis is supported"),
+        ("1 + plogis(L)", 4, "plogis may only wrap a whole parameter expression"),
+        ("2*Q", 2, "'Y' references 'Q' before its declaration"),
+        ("plogis(L", 9, "expected ')'"),
+        ("1) L", 3, "trailing input after declaration"),
+        ("1, 2", 4, "normal takes 2 argument(s), got 3"),
+    ])
+    def test_error_names_line_and_column(self, param, offset, message):
+        head = "Y ~ normal(A, "
+        text = f"A ~ bernoulli(0.5)\nL ~ normal(0, 1)\n{head}{param})\n"
+        with pytest.raises(ModelParseError) as info:
+            parse_model(text)
+        assert str(info.value) == f"line 3, col {len(head) + offset + 1}: {message}"
+
+    def test_operator_is_not_a_node_name(self):
+        with pytest.raises(ModelParseError, match="expected a node name"):
+            parse_expr("A * +")
+
+    def test_plogis_may_name_a_node(self):
+        assert parse_model("plogis ~ bernoulli(0.5)\n").node_names == ("plogis",)
 
 
 class TestModelParsing:
