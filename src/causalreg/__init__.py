@@ -74,6 +74,7 @@ from .scm import (
     parse_expr,
     parse_model,
     simulate,
+    simulate_block,
     true_effect,
 )
 from .study import (

@@ -150,6 +150,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     dag = parse_dag(_read_source(args.dag, "dag"))
     names = None if args.unmeasured is None else _split_csv_list(args.unmeasured)
     unmeasured = hidden_nodes(dag, names)
+    # The verdict is about a regression of the outcome on the exposure,
+    # which cannot be run unless both are measured.
+    for role, node in (("exposure", args.exposure), ("outcome", args.outcome)):
+        if node in unmeasured:
+            raise ValueError(f"{role} {node!r} is unmeasured; a regression needs it")
     conditioned = frozenset(_split_csv_list(args.conditioned))
     measured = frozenset(dag.nodes) - unmeasured - conditioned
     query = CausalQuery(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 import scipy.linalg
@@ -19,7 +19,10 @@ __all__ = [
     "SeparationError",
     "ConvergenceError",
     "design_matrix",
+    "stacked_design",
     "ols_fit",
+    "ols_stack",
+    "full_rank",
     "logistic_design",
     "logistic_fit",
     "irls",
@@ -33,6 +36,12 @@ IRLS_TOL = 1e-8
 IRLS_MAX_ITER = 25
 SEPARATION_COEF_NORM = 1e3
 SEPARATION_PROB_EPS = 1e-10
+# A stacked fit trusts an unpivoted R only when
+#   sigma_min(R) > RANK_MARGIN * n * p * eps * sigma_max(R).
+# The pivoted check fails a problem only when sigma_min(X) <= max(n, p) eps
+# sigma_max(X), so the margin also covers the rounding of both factors;
+# a problem inside it goes to the pivoted check.
+RANK_MARGIN = 100.0
 
 
 class FitError(RuntimeError):
@@ -83,6 +92,11 @@ class DesignSpec:
         if len(set(names)) != len(names) or len(set(products)) != len(products):
             raise ValueError(f"duplicate design terms in {names}")
 
+    def variables(self) -> tuple[str, ...]:
+        """The columns the design reads, outcome last."""
+        names = [*self.covariates, *(v for pair in self.interactions for v in pair)]
+        return tuple(dict.fromkeys([*names, *self.squares, self.outcome]))
+
     def column_names(self) -> tuple[str, ...]:
         names = ["intercept"]
         names += list(self.covariates)
@@ -132,19 +146,25 @@ class FitResult:
         }
 
 
+def stacked_design(
+    columns: Mapping[str, np.ndarray], spec: DesignSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Build (X, y) from columns of one shape (..., n): X is (..., n, p) with
+    the intercept first, y is (..., n)."""
+    y = columns[spec.outcome]
+    X = np.stack(
+        [np.ones(y.shape)]
+        + [columns[name] for name in spec.covariates]
+        + [columns[a] * columns[b] for a, b in spec.interactions]
+        + [columns[name] ** 2 for name in spec.squares],
+        axis=-1,
+    )
+    return X, y
+
+
 def design_matrix(data: Dataset, spec: DesignSpec) -> tuple[np.ndarray, np.ndarray]:
     """Build (X, y) from a dataset; intercept first."""
-    n = data.n
-    columns = [np.ones(n)]
-    for name in spec.covariates:
-        columns.append(data.column(name))
-    for a, b in spec.interactions:
-        columns.append(data.column(a) * data.column(b))
-    for name in spec.squares:
-        columns.append(data.column(name) ** 2)
-    X = np.column_stack(columns)
-    y = data.column(spec.outcome)
-    return X, y
+    return stacked_design({name: data.column(name) for name in spec.variables()}, spec)
 
 
 def _pivoted_qr(X: np.ndarray, names: tuple[str, ...], mode: str = "economic"):
@@ -181,6 +201,39 @@ def ols_fit(data: Dataset, spec: DesignSpec) -> FitResult:
     ses = np.empty(p)
     ses[pivots] = np.sqrt(sigma2 * np.sum(rinv * rinv, axis=1))
     return FitResult(names, tuple(map(float, beta)), tuple(map(float, ses)))
+
+
+def _full_rank_r(r: np.ndarray, n: int) -> np.ndarray:
+    """For a stack of unpivoted R factors (R, p, p) of n-row matrices: True
+    where R shows full column rank beyond doubt.  False covers non-finite
+    entries and every rank-deficient verdict of the pivoted check."""
+    finite = np.isfinite(r).all(axis=(1, 2))
+    sigma = np.linalg.svd(np.where(finite[:, None, None], r, 0.0), compute_uv=False)
+    margin = RANK_MARGIN * n * r.shape[-1] * np.finfo(float).eps
+    return sigma[:, -1] > margin * sigma[:, 0]
+
+
+def full_rank(X: np.ndarray) -> np.ndarray:
+    """One batched QR of a stack X (R, n, p): True where X[i] has full column
+    rank beyond doubt.  A False problem may still have full rank; the
+    pivoted QR of the public fitters settles it."""
+    return _full_rank_r(np.linalg.qr(X, mode="r"), X.shape[1])
+
+
+def ols_stack(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients (R, p) of a stack of problems, X (R, n, p)
+    and y (R, n), from one batched QR of [X | y].
+
+    The last column of that R holds Q'y, so no Q is formed.  A problem
+    whose rank :func:`full_rank` cannot vouch for gets a row of NaN: fit
+    it with :func:`ols_fit`, which gives the verdict.
+    """
+    reps, n, p = X.shape
+    r = np.linalg.qr(np.concatenate((X, y[:, :, None]), axis=2), mode="r")
+    ok = _full_rank_r(r[:, :p, :p], n)
+    beta = np.full((reps, p), np.nan)
+    beta[ok] = np.linalg.solve(r[ok, :p, :p], r[ok, :p, p:])[:, :, 0]
+    return beta
 
 
 def logistic_design(data: Dataset, spec: DesignSpec) -> tuple[np.ndarray, np.ndarray]:

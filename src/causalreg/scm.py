@@ -38,6 +38,7 @@ __all__ = [
     "parse_expr",
     "parse_model",
     "simulate",
+    "simulate_block",
     "intervene",
     "true_effect",
     "ATE",
@@ -66,7 +67,14 @@ class ModelParseError(ValueError):
 
 
 class SimulationError(RuntimeError):
-    """A draw produced an invalid parameter; names the node and row."""
+    """A draw produced an invalid parameter; names the node and row.
+
+    ``rep`` is the replication index of the failed draw, when known.
+    """
+
+    def __init__(self, message: str, rep: int | None = None):
+        super().__init__(message)
+        self.rep = rep
 
 
 @dataclass(frozen=True)
@@ -104,14 +112,21 @@ class Expr:
     def variables(self) -> frozenset[str]:
         return frozenset(n for t in self.terms for n in t.names)
 
-    def evaluate(self, columns: dict[str, np.ndarray], n: int) -> np.ndarray:
-        total = np.zeros(n)
+    def evaluate(
+        self, columns: dict[str, np.ndarray], shape: int | tuple[int, ...]
+    ) -> np.ndarray:
+        # Term by term, in the order the model states them; a product
+        # starts from its coefficient.  (c*x is the same float as x*c.)
+        total = np.zeros(shape)
         for t in self.terms:
-            value = np.full(n, t.coef)
-            for name in t.names:
-                value = value * columns[name]
+            if not t.names:
+                total += t.coef
+                continue
+            value = t.coef * columns[t.names[0]]
+            for name in t.names[1:]:
+                value *= columns[name]
             total += value
-        return expit(total) if self.logistic else total
+        return expit(total, out=total) if self.logistic else total
 
     def render(self) -> str:
         if not self.terms:
@@ -399,6 +414,11 @@ class Dataset:
         return buf.getvalue()
 
     @classmethod
+    def from_columns(cls, columns: dict[str, np.ndarray]) -> "Dataset":
+        """One column per entry, in the mapping's order."""
+        return cls(tuple(columns), np.column_stack(list(columns.values())))
+
+    @classmethod
     def from_csv(cls, source: str) -> "Dataset":
         """Parse a header line and rows of finite numbers (see :func:`read_csv`)."""
         header, rows = read_csv(source)
@@ -409,59 +429,97 @@ class Dataset:
         return cls(header, np.asarray(values, dtype=float))
 
 
-def _node_stream(seed: int, node: str, rep: int) -> np.random.Generator:
+def _node_key(node: str) -> int:
     digest = hashlib.blake2b(node.encode(), digest_size=8).digest()
-    key = int.from_bytes(digest, "big")
-    return np.random.default_rng(np.random.SeedSequence((seed, key, rep)))
+    return int.from_bytes(digest, "big")
 
 
-def _first_bad(mask: np.ndarray) -> int:
-    return int(np.argmax(mask))
+def _checks(spec: NodeSpec, params: list[np.ndarray]) -> list[tuple[np.ndarray, str]]:
+    """(mask of invalid values, what is invalid) for each range check of a node,
+    in the order they apply."""
+    if spec.dist == "normal":
+        mean, sd = params
+        return [
+            (~np.isfinite(mean), "non-finite mean"),
+            (~np.isfinite(sd) | (sd < 0), "invalid sd"),
+        ]
+    if spec.dist == "bernoulli":
+        (prob,) = params
+        return [(~np.isfinite(prob) | (prob < 0) | (prob > 1),
+                 "probability outside [0, 1]")]
+    return []
+
+
+def simulate_block(
+    model: StructuralModel, n: int, seed: int, reps: range
+) -> dict[str, np.ndarray]:
+    """Draw ``n`` rows for each replication in ``reps``: one (len(reps), n)
+    array per node, in declaration order.
+
+    Row ``i`` of every array is replication ``reps[i]``, drawn from the
+    substreams keyed by (seed, node, reps[i]), so it does not depend on
+    which other replications share the block.  Each node's parameters
+    are evaluated, and range-checked, once for the whole block.  A
+    failed check raises the error of the lowest failing replication (its
+    first failing node, then row), as drawing the replications one by
+    one would.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if seed < 0 or min(reps, default=0) < 0:
+        raise ValueError("seed and rep must be non-negative")
+    reps = list(reps)
+    columns: dict[str, np.ndarray] = {}
+    failure: SimulationError | None = None
+    for spec in model.specs:
+        params = [p.evaluate(columns, (len(reps), n)) for p in spec.params]
+        checks = _checks(spec, params)
+        failed = np.zeros(len(reps), dtype=bool)
+        for bad, _ in checks:
+            failed |= bad.any(axis=1)
+        if failed.any():
+            # Replications from the first failure on are never drawn:
+            # only a lower one can fail at a later node and win.
+            k = int(np.argmax(failed))
+            what, row = next((what, int(np.argmax(bad[k]))) for bad, what in checks
+                             if bad[k].any())
+            failure = SimulationError(
+                f"node {spec.name!r}: {what} at row {row}", rep=reps[k]
+            )
+            reps = reps[:k]
+            params = [p[:k] for p in params]
+            columns = {name: col[:k] for name, col in columns.items()}
+        if spec.dist == "constant":
+            columns[spec.name] = params[0]
+            continue
+        key = _node_key(spec.name)
+        draws = np.empty((len(reps), n))
+        for i, rep in enumerate(reps):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, key, rep)))
+            if spec.dist == "normal":
+                rng.standard_normal(n, out=draws[i])
+            else:
+                rng.random(n, out=draws[i])
+        if spec.dist == "normal":
+            draws *= params[1]
+            draws += params[0]
+            columns[spec.name] = draws
+        else:
+            columns[spec.name] = (draws < params[0]).astype(float)
+    if failure is not None:
+        raise failure
+    return columns
 
 
 def simulate(model: StructuralModel, n: int, seed: int, rep: int = 0) -> Dataset:
-    """Draw ``n`` independent rows in declaration order.
+    """Draw ``n`` independent rows in declaration order: replication
+    ``rep`` of :func:`simulate_block`.
 
     Deterministic given (model, n, seed, rep); node values never
     depend on the declaration order of unrelated nodes.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if seed < 0 or rep < 0:
-        raise ValueError("seed and rep must be non-negative")
-    columns: dict[str, np.ndarray] = {}
-    for spec in model.specs:
-        if spec.dist == "constant":
-            value = spec.params[0].evaluate(columns, n)
-            columns[spec.name] = value
-            continue
-        rng = _node_stream(seed, spec.name, rep)
-        if spec.dist == "normal":
-            mean = spec.params[0].evaluate(columns, n)
-            sd = spec.params[1].evaluate(columns, n)
-            bad = ~np.isfinite(mean)
-            if bad.any():
-                raise SimulationError(
-                    f"node {spec.name!r}: non-finite mean at row {_first_bad(bad)}"
-                )
-            bad = ~np.isfinite(sd) | (sd < 0)
-            if bad.any():
-                raise SimulationError(
-                    f"node {spec.name!r}: invalid sd at row {_first_bad(bad)}"
-                )
-            columns[spec.name] = mean + sd * rng.standard_normal(n)
-        elif spec.dist == "bernoulli":
-            prob = spec.params[0].evaluate(columns, n)
-            bad = ~np.isfinite(prob) | (prob < 0) | (prob > 1)
-            if bad.any():
-                raise SimulationError(
-                    f"node {spec.name!r}: probability outside [0, 1] at row {_first_bad(bad)}"
-                )
-            columns[spec.name] = (rng.random(n) < prob).astype(float)
-        else:  # pragma: no cover - parse_model admits no other kinds
-            raise SimulationError(f"node {spec.name!r}: unknown distribution {spec.dist!r}")
-    data = np.column_stack([columns[name] for name in model.node_names])
-    return Dataset(model.node_names, data)
+    block = simulate_block(model, n, seed, range(rep, rep + 1))
+    return Dataset.from_columns({name: col[0] for name, col in block.items()})
 
 
 def intervene(model: StructuralModel, intervention: Intervention) -> StructuralModel:
@@ -520,10 +578,12 @@ def true_effect(
     if estimand == LOG_MOR and outcome_spec.dist != "bernoulli":
         raise ValueError("log_MOR requires a binary (bernoulli) outcome")
 
-    arm1 = simulate(intervene(model, Intervention(exposure, 1.0)), n_oracle, seed)
-    arm0 = simulate(intervene(model, Intervention(exposure, 0.0)), n_oracle, seed)
-    y1 = arm1.column(outcome)
-    y0 = arm0.column(outcome)
+    y1, y0 = (
+        simulate_block(
+            intervene(model, Intervention(exposure, value)), n_oracle, seed, range(1)
+        )[outcome][0]
+        for value in (1.0, 0.0)
+    )
 
     if estimand == ATE:
         diff = y1 - y0

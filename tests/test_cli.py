@@ -84,6 +84,20 @@ class TestAnalyze:
         assert doc["roles"]["N700"]["mediator"]
         assert err == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (("fig1a", "--unmeasured", "A,Y"), "exposure 'A' is unmeasured"),
+        (("fig1a", "--unmeasured", "Y"), "outcome 'Y' is unmeasured"),
+        (("fig2b", "--exposure", "U"), "exposure 'U' is unmeasured"),
+    ], ids=["listed_exposure", "listed_outcome", "hidden_by_default"])
+    def test_unmeasured_exposure_or_outcome_exits_1(self, capsys, argv, message):
+        dag, *flags = argv
+        if "--exposure" not in flags:
+            flags += ["--exposure", "A"]
+        code, out, err = run_cli(capsys, "analyze", "--dag", dag, "--outcome", "Y",
+                                 *flags)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}; a regression needs it\n"
+
     def test_cycle_exits_1_naming_it(self, capsys, tmp_path):
         path = tmp_path / "cycle.dag"
         path.write_text("A -> Y\nL -> A\nY -> L\n")
@@ -400,6 +414,25 @@ class TestStudy:
             monkeypatch.setenv("CAUSALREG_SEED", seed_variable)
         code, out, err = run_cli(capsys, "study", "--runs", "2", "--n", "50", *flags)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_simulation_range_error_names_scenario_and_replication(
+        self, capsys, tmp_path, workers
+    ):
+        # Replications 12 and 19 draw a probability below 0; at workers=2
+        # both fall in the second chunk.  The lowest one is reported.
+        path = tmp_path / "config.json"
+        path.write_text(_one_scenario_config(
+            {"model": "L ~ normal(0, 1)\nA ~ bernoulli(0.3 + 0.1*L)\nY ~ normal(A + L, 1)\n"},
+            replications=20, sample_size=50, seed=6,
+        ))
+        code, out, err = run_cli(capsys, "study", "--config", str(path),
+                                 "--workers", workers)
+        assert (code, out) == (3, "")
+        assert err == (
+            "numerical failure: scenario 's', replication 12: "
+            "node 'A': probability outside [0, 1] at row 43\n"
+        )
 
     def test_text_format(self, capsys):
         code, out, _ = run_cli(

@@ -22,8 +22,10 @@ from causalreg import (
     parse_expr,
     parse_model,
     simulate,
+    simulate_block,
     true_effect,
 )
+from causalreg.fixtures import MODEL_FIXTURES
 from causalreg.scm import Expr, NodeSpec, StructuralModel, Term
 
 
@@ -252,6 +254,57 @@ class TestSimulate:
         back = Dataset.from_csv(data.to_csv())
         assert back.names == data.names
         assert np.array_equal(back.data, data.data)
+
+
+class TestSimulateBlock:
+    @pytest.mark.parametrize("name", sorted(MODEL_FIXTURES))
+    @pytest.mark.parametrize("reps", [range(0, 1), range(1, 6), range(37, 41)],
+                             ids=["rep0", "reps1-5", "reps37-40"])
+    def test_rows_equal_simulate_bit_for_bit(self, name, reps):
+        model = model_fixture(name)
+        block = simulate_block(model, 120, 13, reps)
+        assert tuple(block) == model.node_names
+        for i, rep in enumerate(reps):
+            data = simulate(model, 120, 13, rep=rep)
+            for node, values in block.items():
+                assert values.shape == (len(reps), 120)
+                assert np.array_equal(values[i], data.column(node))
+
+    def test_streams_keep_their_key(self):
+        # Each node draws from SeedSequence((seed, 64-bit blake2b of its
+        # name, rep)); a change of keying would change every study.
+        import hashlib
+
+        key = int.from_bytes(hashlib.blake2b(b"X", digest_size=8).digest(), "big")
+        rng = np.random.default_rng(np.random.SeedSequence((5, key, 3)))
+        block = simulate_block(parse_model("X ~ normal(0, 1)\n"), 50, 5, range(3, 4))
+        assert np.array_equal(block["X"][0], rng.standard_normal(50))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_range_error_is_the_lowest_failing_replication(self, seed):
+        # B and D both fail in some replications.  With most of these seeds
+        # D fails in a replication before B's first failure, and must win,
+        # as it does when replications run one by one.
+        model = parse_model(
+            "L ~ normal(0, 1)\nB ~ bernoulli(0.3 + 0.1*L)\n"
+            "M ~ normal(0, 1)\nD ~ normal(0, 0.25 + 0.1*M)\n"
+        )
+        expected = []
+        for rep in range(3, 23):
+            try:
+                simulate(model, 60, seed, rep=rep)
+            except SimulationError as exc:
+                expected.append((rep, str(exc)))
+        with pytest.raises(SimulationError) as info:
+            simulate_block(model, 60, seed, range(3, 23))
+        assert (info.value.rep, str(info.value)) == expected[0]
+
+    def test_block_error_seen_alone_keeps_its_message(self):
+        model = parse_model("L ~ normal(1, 1)\nB ~ bernoulli(L)\n")
+        with pytest.raises(SimulationError) as info:
+            simulate(model, 1000, seed=2)
+        assert str(info.value).startswith("node 'B': probability outside [0, 1] at row ")
+        assert info.value.rep == 0
 
 
 class TestIntervene:

@@ -275,6 +275,38 @@ class TestKernel:
                 assert value == pytest.approx(expected, abs=1e-12)
         assert 0 < failures < 40
 
+    @pytest.mark.parametrize("scenario, n, failures", [
+        # Ragged complete cases: one stacked QR per row count.
+        (default_study_config().scenarios[9], 300, range(0, 1)),
+        # B is all zeros in about 40% of replications: a rank-deficient design.
+        (Scenario("collinear", "A ~ bernoulli(0.5)\nB ~ bernoulli(0.03)\n"
+                  "Y ~ normal(A + B, 1)\n", DesignSpec("Y", ("A", "B")), "A",
+                  true_value=1.0), 30, range(1, 40)),
+        (Scenario("non_binary", "A ~ bernoulli(0.5)\nY ~ normal(A, 1)\n",
+                  DesignSpec("Y", ("A",)), "A", "log_MOR", true_value=1.0),
+         50, range(40, 41)),
+        # Logistic fits on ragged complete cases: one IRLS stack per row count.
+        (Scenario("logistic_complete_cases",
+                  "L ~ normal(0, 1)\nA ~ bernoulli(plogis(L))\n"
+                  "Y ~ bernoulli(plogis(A + L))\nC ~ bernoulli(plogis(1 + L))\n",
+                  DesignSpec("Y", ("A", "L")), "A", "log_MOR", true_value=1.0,
+                  require_ones=("C",)), 80, range(0, 1)),
+    ], ids=["setup7", "collinear", "non_binary", "logistic_complete_cases"])
+    def test_stacked_kernel_matches_public_fitters(self, scenario, n, failures):
+        model = scenario.resolve_model()
+        batch = study._replicate(model, scenario, n, 4, range(40))
+        assert [rep for rep, _, _ in batch] == list(range(40))
+        failed = 0
+        for rep, value, message in batch:
+            expected = public_fit(model, scenario, n, 4, rep)
+            if isinstance(expected, FitError):
+                failed += 1
+                assert (value, message) == (None, str(expected))
+            else:
+                assert message is None
+                assert value == pytest.approx(expected, abs=1e-12)
+        assert failed in failures
+
     def test_workers_see_one_blas_thread(self):
         if not blas_threads():
             pytest.skip("no OpenBLAS loaded")
