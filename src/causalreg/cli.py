@@ -21,6 +21,7 @@ from . import fixtures
 from .estimators import (
     DesignSpec,
     FitError,
+    NotBinaryError,
     logistic_fit,
     noncompliance_estimands,
     ols_fit,
@@ -258,7 +259,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                 "design": design.as_dict(),
                 **fitter(data, design).as_dict(),
             }
-    except KeyError as exc:  # a column the file lacks
+    except (KeyError, NotBinaryError) as exc:  # a column the file lacks, or a bad one
         raise ValueError(f"{args.data}: {exc.args[0]}") from None
     _emit(kind, body, args.output)
     return EXIT_OK
@@ -377,7 +378,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (GraphError, ModelParseError, TableError, FileNotFoundError,
+    except (GraphError, ModelParseError, TableError, OSError,
             KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

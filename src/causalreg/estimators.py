@@ -16,14 +16,13 @@ __all__ = [
     "FitResult",
     "FitError",
     "RankDeficiencyError",
+    "NotBinaryError",
     "SeparationError",
     "ConvergenceError",
     "design_matrix",
     "stacked_design",
+    "ols",
     "ols_fit",
-    "ols_stack",
-    "full_rank",
-    "logistic_design",
     "logistic_fit",
     "irls",
     "positivity_check",
@@ -36,12 +35,15 @@ IRLS_TOL = 1e-8
 IRLS_MAX_ITER = 25
 SEPARATION_COEF_NORM = 1e3
 SEPARATION_PROB_EPS = 1e-10
-# A stacked fit trusts an unpivoted R only when
+# A fit trusts an unpivoted R only when
 #   sigma_min(R) > RANK_MARGIN * n * p * eps * sigma_max(R).
 # The pivoted check fails a problem only when sigma_min(X) <= max(n, p) eps
 # sigma_max(X), so the margin also covers the rounding of both factors;
 # a problem inside it goes to the pivoted check.
 RANK_MARGIN = 100.0
+# Rows per batched QR: a taller matrix is factored block by block, which
+# keeps numpy from holding a second copy of the whole of it.
+QR_ROW_BLOCK = 1 << 16
 
 
 class FitError(RuntimeError):
@@ -54,6 +56,14 @@ class RankDeficiencyError(FitError):
         super().__init__(
             f"design matrix is rank deficient; collinear columns: {list(self.columns)}"
         )
+
+
+class NotBinaryError(FitError):
+    """A column that must hold only 0 and 1 holds something else."""
+
+    def __init__(self, column: str):
+        self.column = column
+        super().__init__(f"column {column!r} must be binary 0/1")
 
 
 class SeparationError(FitError):
@@ -167,85 +177,98 @@ def design_matrix(data: Dataset, spec: DesignSpec) -> tuple[np.ndarray, np.ndarr
     return stacked_design({name: data.column(name) for name in spec.variables()}, spec)
 
 
-def _pivoted_qr(X: np.ndarray, names: tuple[str, ...], mode: str = "economic"):
-    """scipy.linalg.qr of X with column pivoting; raises if X is rank deficient.
-
-    Returns scipy's tuple for ``mode``, whose last two items are R and the
-    pivots: ``(Q, R, P)`` for "economic", ``((qr, tau), R, P)`` for "raw".
-    """
-    factors = scipy.linalg.qr(X, mode=mode, pivoting=True)
-    *_, r, pivots = factors
+def _pivoted_qr(X: np.ndarray, names: tuple[str, ...]) -> None:
+    """The rank verdict of scipy's pivoted QR of X: raises, naming the
+    collinear columns, if X is rank deficient."""
+    *_, r, pivots = scipy.linalg.qr(X, mode="raw", pivoting=True)
     diag = np.abs(np.diag(r))
     tol = max(X.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
     rank = int(np.sum(diag > tol))
     if rank < X.shape[1]:
         raise RankDeficiencyError(names[j] for j in sorted(pivots[rank:]))
-    return factors
+
+
+def _qr_r(A: np.ndarray) -> np.ndarray:
+    """The R factors (R, k, k) of a stack A (R, n, k) with n >= k, one batched
+    QR per block of QR_ROW_BLOCK rows with the R found so far on top, so a
+    tall matrix is never held twice."""
+    r = np.linalg.qr(A[:, :QR_ROW_BLOCK], mode="r")
+    for start in range(QR_ROW_BLOCK, A.shape[1], QR_ROW_BLOCK):
+        block = A[:, start:start + QR_ROW_BLOCK]
+        r = np.linalg.qr(np.concatenate((r, block), axis=1), mode="r")
+    return r
+
+
+def _screen(
+    X: np.ndarray, y: np.ndarray, spec: DesignSpec, binary: bool
+) -> tuple[np.ndarray | None, list[FitError | None]]:
+    """The checks every fit of a stack X (R, n, p), y (R, n) needs, in order:
+    more rows than parameters, a binary outcome (when ``binary``), full
+    column rank.
+
+    Returns the unpivoted R factors of [X | y] (R, p+1, p+1), or None when
+    there are too few rows, and per problem None if it passed, else its
+    FitError.  The pivoted QR settles the rank of only the problems the
+    unpivoted R cannot vouch for.
+    """
+    reps, n, p = X.shape
+    if n <= p:
+        return None, [FitError(f"need more rows than parameters (n={n}, p={p})")
+                      for _ in range(reps)]
+    out: list[FitError | None] = [None] * reps
+    if binary:
+        for i in np.flatnonzero(~np.isin(y, (0.0, 1.0)).all(axis=1)):
+            out[i] = NotBinaryError(spec.outcome)
+    r = _qr_r(np.concatenate((X, y[:, :, None]), axis=2))
+    rx = r[:, :p, :p]
+    finite = np.isfinite(rx).all(axis=(1, 2))
+    sigma = np.linalg.svd(np.where(finite[:, None, None], rx, 0.0), compute_uv=False)
+    margin = RANK_MARGIN * n * p * np.finfo(float).eps
+    for i in np.flatnonzero(~(sigma[:, -1] > margin * sigma[:, 0])):
+        if out[i] is None:
+            try:
+                _pivoted_qr(X[i], spec.column_names())
+            except RankDeficiencyError as exc:
+                out[i] = exc
+    return r, out
+
+
+def ols(X: np.ndarray, y: np.ndarray, spec: DesignSpec) -> list[FitResult | FitError]:
+    """Least squares with classical SEs on a stack of independent problems:
+    X is (R, n, p) and y is (R, n).  Returns, per problem, its FitResult or
+    the FitError that stopped it.
+
+    Everything is read off the R of [X | y]: its last column holds Q'y and
+    its corner entry the residual norm, so no Q is formed, and the SEs
+    are the row norms of R^-1 (X'X = R'R) scaled by the residual SD.
+    """
+    n, p = X.shape[1:]
+    r, out = _screen(X, y, spec, binary=False)
+    ok = np.flatnonzero([fit is None for fit in out])
+    if ok.size:
+        rx = r[ok, :p, :p]
+        beta = np.linalg.solve(rx, r[ok, :p, p:])[:, :, 0]
+        rinv = np.linalg.inv(rx)
+        sigma2 = r[ok, p, p] ** 2 / (n - p)
+        ses = np.sqrt(sigma2[:, None] * np.sum(rinv * rinv, axis=2))
+        names = spec.column_names()
+        for i, b, s in zip(ok, beta, ses):
+            out[i] = FitResult(names, tuple(map(float, b)), tuple(map(float, s)))
+    return out
+
+
+def _fit_one(fitter, data: Dataset, spec: DesignSpec) -> FitResult:
+    """A stacked fitter on one dataset: its FitResult, or its FitError raised."""
+    X, y = design_matrix(data, spec)
+    fit = fitter(X[None], y[None], spec)[0]
+    if isinstance(fit, FitError):
+        raise fit
+    return fit
 
 
 def ols_fit(data: Dataset, spec: DesignSpec) -> FitResult:
-    """Least squares through one pivoted QR decomposition, with classical SEs."""
-    X, y = design_matrix(data, spec)
-    names = spec.column_names()
-    n, p = X.shape
-    if n <= p:
-        raise FitError(f"need more rows than parameters (n={n}, p={p})")
-    q, r, pivots = _pivoted_qr(X, names)
-    beta = np.empty(p)
-    beta[pivots] = scipy.linalg.solve_triangular(r, q.T @ y)
-    residuals = y - X @ beta
-    sigma2 = float(residuals @ residuals) / (n - p)
-    # (X'X)^-1 = P R^-1 R^-T P', so its diagonal holds the squared row
-    # norms of R^-1 in pivoted order.
-    rinv = scipy.linalg.solve_triangular(r, np.eye(p))
-    ses = np.empty(p)
-    ses[pivots] = np.sqrt(sigma2 * np.sum(rinv * rinv, axis=1))
-    return FitResult(names, tuple(map(float, beta)), tuple(map(float, ses)))
-
-
-def _full_rank_r(r: np.ndarray, n: int) -> np.ndarray:
-    """For a stack of unpivoted R factors (R, p, p) of n-row matrices: True
-    where R shows full column rank beyond doubt.  False covers non-finite
-    entries and every rank-deficient verdict of the pivoted check."""
-    finite = np.isfinite(r).all(axis=(1, 2))
-    sigma = np.linalg.svd(np.where(finite[:, None, None], r, 0.0), compute_uv=False)
-    margin = RANK_MARGIN * n * r.shape[-1] * np.finfo(float).eps
-    return sigma[:, -1] > margin * sigma[:, 0]
-
-
-def full_rank(X: np.ndarray) -> np.ndarray:
-    """One batched QR of a stack X (R, n, p): True where X[i] has full column
-    rank beyond doubt.  A False problem may still have full rank; the
-    pivoted QR of the public fitters settles it."""
-    return _full_rank_r(np.linalg.qr(X, mode="r"), X.shape[1])
-
-
-def ols_stack(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients (R, p) of a stack of problems, X (R, n, p)
-    and y (R, n), from one batched QR of [X | y].
-
-    The last column of that R holds Q'y, so no Q is formed.  A problem
-    whose rank :func:`full_rank` cannot vouch for gets a row of NaN: fit
-    it with :func:`ols_fit`, which gives the verdict.
-    """
-    reps, n, p = X.shape
-    r = np.linalg.qr(np.concatenate((X, y[:, :, None]), axis=2), mode="r")
-    ok = _full_rank_r(r[:, :p, :p], n)
-    beta = np.full((reps, p), np.nan)
-    beta[ok] = np.linalg.solve(r[ok, :p, :p], r[ok, :p, p:])[:, :, 0]
-    return beta
-
-
-def logistic_design(data: Dataset, spec: DesignSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(X, y) for a logistic fit, once the data pass the checks every fit needs."""
-    X, y = design_matrix(data, spec)
-    n, p = X.shape
-    if n <= p:
-        raise FitError(f"need more rows than parameters (n={n}, p={p})")
-    if not np.all(np.isin(y, (0.0, 1.0))):
-        raise FitError(f"outcome {spec.outcome!r} must be binary 0/1")
-    _pivoted_qr(X, spec.column_names(), mode="raw")
-    return X, y
+    """Least squares with classical SEs: :func:`ols` on one dataset."""
+    return _fit_one(ols, data, spec)
 
 
 def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,7 +294,7 @@ def _information(X: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 
 def irls(
-    X: np.ndarray, y: np.ndarray, names: tuple[str, ...]
+    X: np.ndarray, y: np.ndarray, spec: DesignSpec
 ) -> list[FitResult | FitError]:
     """Logistic regression by iteratively reweighted least squares on a
     stack of independent problems: X is (R, n, p) and y is (R, n).
@@ -282,14 +305,19 @@ def irls(
     one.  Returns, per problem, its FitResult or the FitError that ended it.
     """
     reps, _, p = X.shape
-    out: list[FitResult | FitError | None] = [None] * reps
+    names = spec.column_names()
+    out: list[FitResult | FitError | None] = _screen(X, y, spec, binary=True)[1]
+    live = np.flatnonzero([fit is None for fit in out])  # problems still iterating
+    if live.size < reps:
+        X, y = X[live], y[live]
     beta = np.zeros((reps, p))
     steps = np.zeros((reps, IRLS_MAX_ITER))
     ones = y == 1
     both_classes = ones.any(axis=1) & (~ones).any(axis=1)
     probs = np.full(y.shape, 0.5)  # expit(X @ 0)
-    live = np.arange(reps)  # problems still iterating
     for iteration in range(1, IRLS_MAX_ITER + 1):
+        if live.size == 0:
+            break
         score = np.swapaxes(X, 1, 2) @ (y - probs)[:, :, None]
         step, solved = _solve_each(_information(X, probs), score)
         for i in live[~solved]:
@@ -339,8 +367,6 @@ def irls(
         if not keep.all():
             live, X, y, probs = live[keep], X[keep], y[keep], probs[keep]
             ones, both_classes = ones[keep], both_classes[keep]
-        if live.size == 0:
-            break
     for i in live:
         out[i] = ConvergenceError(
             f"IRLS did not converge in {IRLS_MAX_ITER} iterations",
@@ -350,16 +376,9 @@ def irls(
 
 
 def logistic_fit(data: Dataset, spec: DesignSpec) -> FitResult:
-    """Logistic regression by iteratively reweighted least squares.
-
-    Newton steps solve the weighted normal equations; convergence is
-    declared when the largest coefficient update falls below 1e-8.
-    """
-    X, y = logistic_design(data, spec)
-    fit = irls(X[None], y[None], spec.column_names())[0]
-    if isinstance(fit, FitError):
-        raise fit
-    return fit
+    """Logistic regression by iteratively reweighted least squares:
+    :func:`irls` on one dataset."""
+    return _fit_one(irls, data, spec)
 
 
 @dataclass(frozen=True)
@@ -438,7 +457,7 @@ def noncompliance_estimands(
     y = data.column(outcome)
     for name, col in ((assigned, za), (taken, a), (outcome, y)):
         if not np.all(np.isin(col, (0.0, 1.0))):
-            raise FitError(f"column {name!r} must be binary 0/1")
+            raise NotBinaryError(name)
     itt = _subgroup_mean(y, za == 1, f"{assigned}=1") - _subgroup_mean(
         y, za == 0, f"{assigned}=0"
     )

@@ -22,23 +22,13 @@ import numpy as np
 from scipy.special import expit
 
 from ._blas import pin_blas_threads, single_blas_thread
-from .estimators import (
-    DesignSpec,
-    FitError,
-    full_rank,
-    irls,
-    logistic_fit,
-    ols_fit,
-    ols_stack,
-    stacked_design,
-)
+from .estimators import DesignSpec, FitError, irls, ols, stacked_design
 from .fixtures import MODEL_FIXTURES, model_fixture
 from .scm import (
     ATE,
     ESTIMANDS,
     LOG_MOR,
     ORACLE_MIN_N,
-    Dataset,
     ModelParseError,
     SimulationError,
     StructuralModel,
@@ -312,30 +302,6 @@ def default_study_config(
     )
 
 
-def _complete_cases(data: Dataset, scenario: Scenario) -> Dataset:
-    mask = np.ones(data.n, dtype=bool)
-    for name in scenario.require_ones:
-        mask &= data.column(name) == 1.0
-    kept = data.data[mask]
-    if kept.shape[0] <= len(scenario.design.column_names()) + 1:
-        raise FitError(f"only {kept.shape[0]} complete rows left after filtering")
-    return Dataset(data.names, np.ascontiguousarray(kept))
-
-
-def _fit_alone(
-    columns: dict[str, np.ndarray], i: int, scenario: Scenario
-) -> tuple[float | None, str | None]:
-    """Replication ``i`` of a block through the public fitter, on its own data."""
-    data = Dataset.from_columns({name: col[i] for name, col in columns.items()})
-    try:
-        if scenario.require_ones:
-            data = _complete_cases(data, scenario)
-        fitter = logistic_fit if scenario.estimand == LOG_MOR else ols_fit
-        return fitter(data, scenario.design).coef(scenario.target), None
-    except FitError as exc:
-        return None, str(exc)
-
-
 def _replicate(
     model: StructuralModel,
     scenario: Scenario,
@@ -347,11 +313,8 @@ def _replicate(
     failure message)`` for each replication in ``reps``.
 
     The replications are simulated as one block and fitted as stacks,
-    one per complete-case row count: OLS by one batched QR, logistic
-    models by one stacked IRLS run.  A replication the stacked checks
-    cannot clear (too few rows, a non-binary logistic outcome, a rank
-    the unpivoted QR cannot vouch for) goes through ``ols_fit`` or
-    ``logistic_fit`` on its own data, which give the verdict and message.
+    one per complete-case row count, by ``ols`` or ``irls``, which give
+    each replication its own verdict and message.
     """
     try:
         columns = simulate_block(
@@ -364,36 +327,27 @@ def _replicate(
     design = scenario.design
     names = design.column_names()
     target = names.index(scenario.target)
-    logistic = scenario.estimand == LOG_MOR
+    fitter = irls if scenario.estimand == LOG_MOR else ols
     X, y = stacked_design(columns, design)
     keep = np.ones(y.shape, dtype=bool)
     for name in scenario.require_ones:
         keep &= columns[name] == 1.0
     rows = keep.sum(axis=1)
-    stacked = rows > len(names) + 1
-    if logistic:
-        stacked &= (np.isin(y, (0.0, 1.0)) | ~keep).all(axis=1)
     results: list[tuple[float | None, str | None] | None] = [None] * len(reps)
-    for count in np.unique(rows[stacked]):
-        idx = np.flatnonzero(stacked & (rows == count))
+    for count in np.unique(rows):
+        idx = np.flatnonzero(rows == count)
+        if scenario.require_ones and count <= len(names) + 1:
+            for i in idx:
+                results[i] = (None, f"only {count} complete rows left after filtering")
+            continue
         Xg, yg = (X, y) if idx.size == len(reps) else (X[idx], y[idx])
         if count < sample_size:
             Xg = Xg[keep[idx]].reshape(idx.size, count, len(names))
             yg = yg[keep[idx]].reshape(idx.size, count)
-        if logistic:
-            clear = full_rank(Xg)
-            fits = irls(Xg[clear], yg[clear], names)
-            for i, fit in zip(idx[clear], fits):
-                results[i] = ((None, str(fit)) if isinstance(fit, FitError)
-                              else (fit.coefficients[target], None))
-        else:
-            for i, value in zip(idx, ols_stack(Xg, yg)[:, target]):
-                if not np.isnan(value):
-                    results[i] = (float(value), None)
-    return [
-        (rep, *(result or _fit_alone(columns, i, scenario)))
-        for i, (rep, result) in enumerate(zip(reps, results))
-    ]
+        for i, fit in zip(idx, fitter(Xg, yg, design)):
+            results[i] = ((None, str(fit)) if isinstance(fit, FitError)
+                          else (fit.coefficients[target], None))
+    return [(rep, *result) for rep, result in zip(reps, results)]
 
 
 def _oracle_key(scenario: Scenario) -> tuple[str, str, str, str]:

@@ -284,6 +284,19 @@ class TestFit:
         code, out, err = run_cli(capsys, "fit", "--data", str(csv_path), *flags)
         assert (code, out, err) == (1, "", f"error: {csv_path}: no column {column!r}\n")
 
+    @pytest.mark.parametrize("flags, column", [
+        (("--positivity", "--exposure", "L", "--covariates", "A"), "L"),
+        (("--family", "logistic", "--covariates", "A,L"), "Y"),
+        (("--noncompliance",), "A_taken"),
+    ], ids=["positivity", "logistic", "noncompliance"])
+    def test_non_binary_column_names_the_file(self, capsys, tmp_path, flags, column):
+        path = tmp_path / "d.csv"
+        path.write_text("A_assigned,A_taken,A,L,Y\n1,1,1,0.5,1.5\n1,2,0,-1.2,0\n"
+                        "0,0,1,0.3,1\n0,1,0,2.5,0\n1,0,1,-0.7,1\n0,0,0,0.1,0\n")
+        code, out, err = run_cli(capsys, "fit", "--data", str(path), *flags)
+        assert (code, out, err) == (
+            1, "", f"error: {path}: column {column!r} must be binary 0/1\n")
+
     def test_noncompliance_report(self, capsys, tmp_path):
         path = tmp_path / "trial.csv"
         path.write_text("A_assigned,A_taken,Y\n1,1,1\n1,1,1\n1,1,0\n1,0,1\n"
@@ -528,6 +541,21 @@ class TestInputErrors:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("usage: causalreg")
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--dag", "{dir}", "--exposure", "A", "--outcome", "Y"),
+        ("fit", "--data", "{dir}"),
+        ("analyze", "--dag", "fig1a", "--exposure", "A", "--outcome", "Y", "-o", "{dir}"),
+        ("study", "--config", "{config}", "--estimates-csv", "{dir}"),
+    ], ids=["analyze_dag", "fit_data", "analyze_output", "study_estimates_csv"])
+    def test_directory_path_exits_1(self, capsys, tmp_path, argv):
+        config = tmp_path / "config.json"
+        config.write_text(_one_scenario_config())
+        code, out, err = run_cli(
+            capsys, *(arg.format(dir=tmp_path, config=config) for arg in argv))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path) in err
 
     def test_help_exits_0(self, capsys):
         code, out, err = run_cli(capsys, "--help")

@@ -13,11 +13,14 @@ from causalreg import (
     positivity_check,
     simulate,
 )
+import causalreg.estimators as est
 from causalreg.estimators import (
+    NotBinaryError,
     RankDeficiencyError,
     SeparationError,
     design_matrix,
     irls,
+    ols,
 )
 
 
@@ -193,18 +196,107 @@ class TestLogistic:
 
 
     def test_stacked_problems_fail_alone(self, logistic_fixture_100):
-        # A singular problem in the stack fails by itself; its neighbour
-        # gets the same fit as alone.
+        # A collinear problem in the stack fails by itself, naming its
+        # columns as logistic_fit does; its neighbour gets the same fit
+        # as alone.
         spec = DesignSpec("Y", ("A", "L"))
         X, y = design_matrix(logistic_fixture_100, spec)
         collinear = X.copy()
         collinear[:, 2] = collinear[:, 1]
-        fits = irls(np.stack([collinear, X]), np.stack([y, y]), spec.column_names())
-        assert isinstance(fits[0], SeparationError)
-        assert "singular" in str(fits[0])
+        fits = irls(np.stack([collinear, X]), np.stack([y, y]), spec)
+        assert isinstance(fits[0], RankDeficiencyError)
+        assert set(fits[0].columns) & {"A", "L"}
         alone = logistic_fit(logistic_fixture_100, spec)
         assert fits[1].iterations == alone.iterations
         assert fits[1].coefficients == pytest.approx(alone.coefficients, abs=1e-12)
+
+
+def ols_stack_fixture():
+    """Six problems (n=50, p=4): four well-conditioned, one with column c a
+    multiple of column a (rank deficient), and one whose column c equals a
+    up to 1e-12 (full rank, inside the SVD margin of the unpivoted check)."""
+    rng = np.random.default_rng(31)
+    reps, n = 6, 50
+    X = np.concatenate([np.ones((reps, n, 1)), rng.normal(size=(reps, n, 3))], axis=2)
+    X[4, :, 3] = 2.0 * X[4, :, 1]
+    X[5, :, 3] = X[5, :, 1] + 1e-12 * rng.normal(size=n)
+    y = X @ np.array([1.0, -2.0, 0.5, 3.0]) + rng.normal(size=(reps, n))
+    return X, y, DesignSpec("y", ("a", "b", "c"))
+
+
+class TestStackedFitters:
+    """ols and irls checked against numpy's least squares and the normal
+    equations, not against each other's public wrappers."""
+
+    def test_ols_matches_lstsq_and_normal_equations(self):
+        X, y, spec = ols_stack_fixture()
+        n, p = X.shape[1:]
+        fits = ols(X, y, spec)
+        for i in range(4):
+            beta = np.linalg.lstsq(X[i], y[i], rcond=None)[0]
+            resid = y[i] - X[i] @ beta
+            sigma2 = resid @ resid / (n - p)
+            ses = np.sqrt(sigma2 * np.diag(np.linalg.inv(X[i].T @ X[i])))
+            assert fits[i].names == spec.column_names()
+            np.testing.assert_allclose(fits[i].coefficients, beta, rtol=1e-10)
+            np.testing.assert_allclose(fits[i].standard_errors, ses, rtol=1e-10)
+
+    def test_ols_rank_verdicts_inside_the_margin(self):
+        X, y, spec = ols_stack_fixture()
+        n, p = X.shape[1:]
+        # Member 5 is one the unpivoted check cannot vouch for, yet the
+        # pivoted check finds it full rank.
+        sigma = np.linalg.svd(X[5], compute_uv=False)
+        assert sigma[-1] <= est.RANK_MARGIN * n * p * np.finfo(float).eps * sigma[0]
+        assert sigma[-1] > n * np.finfo(float).eps * sigma[0]
+        fits = ols(X, y, spec)
+        assert isinstance(fits[4], RankDeficiencyError)
+        assert set(fits[4].columns) & {"a", "c"}
+        # Fitted, not rejected.  Its coefficients are near 1e11 and ill
+        # determined, but its residual sum of squares is close to lstsq's.
+        assert not isinstance(fits[5], FitError)
+        rss = [np.sum((y[5] - X[5] @ beta) ** 2) for beta in (
+            np.asarray(fits[5].coefficients), np.linalg.lstsq(X[5], y[5], rcond=None)[0])]
+        assert rss[0] == pytest.approx(rss[1], rel=1e-3)
+
+    def test_too_few_rows_fail_every_problem(self):
+        X, y, spec = ols_stack_fixture()
+        for fit in ols(X[:, :4], y[:, :4], spec):
+            assert str(fit) == "need more rows than parameters (n=4, p=4)"
+
+    def test_irls_checks_in_order(self, logistic_fixture_100):
+        spec = DesignSpec("Y", ("A", "L"))
+        X, y = design_matrix(logistic_fixture_100, spec)
+        collinear = X.copy()
+        collinear[:, 2] = collinear[:, 1]
+        # A non-binary outcome is reported before the rank of its design.
+        fits = irls(np.stack([collinear, collinear]), np.stack([y, 2 * y]), spec)
+        assert isinstance(fits[0], RankDeficiencyError)
+        assert isinstance(fits[1], NotBinaryError)
+        assert str(fits[1]) == "column 'Y' must be binary 0/1"
+
+    def test_row_blocks_give_one_block_verdicts(self, logistic_fixture_100,
+                                                monkeypatch):
+        X, y, spec = ols_stack_fixture()
+        lspec = DesignSpec("Y", ("A", "L"))
+        LX, ly = design_matrix(logistic_fixture_100, lspec)
+        collinear = LX.copy()
+        collinear[:, 2] = collinear[:, 1]
+        LX, ly = np.stack([LX, collinear, LX[::-1]]), np.stack([ly, ly, ly[::-1]])
+        whole = ols(X, y, spec), irls(LX, ly, lspec)
+        monkeypatch.setattr(est, "QR_ROW_BLOCK", 7)
+        blocked = ols(X, y, spec), irls(LX, ly, lspec)
+        for one, many in zip(whole, blocked):
+            for a, b in zip(one, many):
+                assert type(a) is type(b)
+                if isinstance(a, FitError):
+                    assert str(a) == str(b)
+        # Member 5 of the OLS stack has ill-determined coefficients.
+        for a, b in [*zip(whole[0][:4], blocked[0][:4]), *zip(whole[1], blocked[1])]:
+            if not isinstance(a, FitError):
+                np.testing.assert_allclose(a.coefficients, b.coefficients, rtol=1e-12)
+                np.testing.assert_allclose(a.standard_errors, b.standard_errors,
+                                           rtol=1e-12)
 
 
 class TestPositivity:
