@@ -277,6 +277,10 @@ def _cmd_study(args: argparse.Namespace) -> int:
     else:
         config = StudyConfig.from_dict(json.loads(Path(args.config).read_text()))
         config = replace(config, **flags)
+    # The outputs are written after the run; refuse a path no file can take before it.
+    for flag, path in (("-o", args.output), ("--estimates-csv", args.estimates_csv)):
+        if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            raise ValueError(f"{flag} {path}: not a file in an existing directory")
     report = run_study(config, workers=args.workers)
     if args.estimates_csv:
         Path(args.estimates_csv).write_text(estimates_csv(report))
@@ -343,12 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interactions", default=None, help="comma list of A:B pairs")
     p.add_argument("--squares", default=None, help="comma list")
     p.add_argument("--family", choices=("linear", "logistic"), default="linear")
-    p.add_argument("--positivity", action="store_true",
-                   help="run the propensity-score positivity screen instead")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--positivity", action="store_true",
+                      help="run the propensity-score positivity screen instead")
+    mode.add_argument("--noncompliance", action="store_true",
+                      help="compute non-compliance estimands instead")
     p.add_argument("--exposure", default="A")
     p.add_argument("--threshold", type=float, default=0.01)
-    p.add_argument("--noncompliance", action="store_true",
-                   help="compute non-compliance estimands instead")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_fit)
 

@@ -79,6 +79,29 @@ class CausalQuery:
         """The graph without the exposure's outgoing edges."""
         return Dag(self.dag.nodes, (e for e in self.dag.edges if e[0] != self.exposure))
 
+    @cached_property
+    def candidates(self) -> frozenset[str]:
+        """Measured nodes other than A, Y, De(A) and the design-conditioned."""
+        banned = {self.exposure, self.outcome} | self.exposure_descendants | self.conditioned
+        return self.measured - banned
+
+    @cached_property
+    def adjustable(self) -> frozenset[str]:
+        """The candidates that lie in some valid adjustment set.
+
+        A candidate v does iff ({v} ∪ An({A, Y, v} ∪ conditioned)) ∩ R
+        satisfies the back-door criterion, R being the candidates (the
+        ancestral-closure lemma of Tian, Paz & Pearl 1998).
+        """
+        pool = self.candidates
+        closure = pool & ancestors(self.dag, self.exposure, self.outcome, *self.conditioned)
+        # A closure node's ancestors are in the closure already: one test for all.
+        in_valid = closure if satisfies_backdoor(self, closure) else frozenset()
+        return in_valid | frozenset(
+            v for v in pool - closure
+            if satisfies_backdoor(self, {v} | closure | ancestors(self.dag, v) & pool)
+        )
+
 
 @dataclass(frozen=True)
 class NodeRole:
@@ -124,17 +147,7 @@ def satisfies_backdoor(query: CausalQuery, adjustment: Iterable[str]) -> bool:
         raise IdentError(f"adjustment set contains unmeasured nodes: {unknown}")
     if not s.isdisjoint(query.exposure_descendants):
         return False
-    cut = query.cut_dag
-    return d_separated(cut, {query.exposure}, {query.outcome}, s | query.conditioned)
-
-
-def _candidate_pool(query: CausalQuery) -> list[str]:
-    banned = (
-        {query.exposure, query.outcome}
-        | query.exposure_descendants
-        | query.conditioned
-    )
-    return sorted(query.measured - banned)
+    return d_separated(query.cut_dag, {query.exposure}, {query.outcome}, s | query.conditioned)
 
 
 def enumerate_adjustment_sets(
@@ -148,9 +161,10 @@ def enumerate_adjustment_sets(
     only inclusion-minimal sets are kept.  An empty result means no
     measured adjustment set exists.
     """
-    pool = _candidate_pool(query)
-    if len(pool) > ENUMERATION_BOUND and not allow_large:
-        raise EnumerationBoundError(len(pool))
+    if len(query.candidates) > ENUMERATION_BOUND and not allow_large:
+        raise EnumerationBoundError(len(query.candidates))
+    # Every member of a valid set is adjustable, so no other subset can pass.
+    pool = sorted(query.adjustable)
     valid: list[frozenset[str]] = []
     for size in range(len(pool) + 1):
         for combo in combinations(pool, size):
@@ -167,11 +181,8 @@ def classify_roles(query: CausalQuery) -> RoleReport:
 
     Back-door and collider flags refer to interior positions on simple
     exposure-outcome paths.  Mediators are De(A) ∩ An(Y), the interiors
-    of directed exposure-outcome paths.  A candidate v lies in some
-    valid adjustment set iff ({v} ∪ An({A, Y, v} ∪ conditioned)) ∩ R
-    satisfies the back-door criterion, R being the candidate pool (the
-    ancestral-closure lemma of Tian, Paz & Pearl 1998); no subset is
-    enumerated.
+    of directed exposure-outcome paths.  Valid-set membership is
+    :attr:`CausalQuery.adjustable`; no subset is enumerated.
     """
     dag = query.dag
     on_backdoor: set[str] = set()
@@ -181,29 +192,17 @@ def classify_roles(query: CausalQuery) -> RoleReport:
             on_backdoor.update(p.nodes[1:-1])
         colliders.update(p.nodes[i] for i in p.collider_indices())
 
-    desc_of_exposure = query.exposure_descendants
-    mediators = desc_of_exposure & ancestors(dag, query.outcome)
+    mediators = query.exposure_descendants & ancestors(dag, query.outcome)
     desc_of_mediator = descendants(dag, *mediators)
 
-    pool = frozenset(_candidate_pool(query))
-    closure = pool & ancestors(dag, query.exposure, query.outcome, *query.conditioned)
-    in_valid = {
-        v for v in pool - closure
-        if satisfies_backdoor(query, {v} | closure | ancestors(dag, v) & pool)
-    }
-    # A closure node's ancestors are in the closure already: one test for all.
-    if satisfies_backdoor(query, closure):
-        in_valid |= closure
-
-    roles = {
+    return RoleReport({
         v: NodeRole(
             on_backdoor_path=v in on_backdoor,
             collider_on_ay_path=v in colliders,
             mediator=v in mediators,
             descendant_of_mediator=v in desc_of_mediator,
-            descendant_of_exposure=v in desc_of_exposure,
-            in_some_valid_adjustment_set=v in in_valid,
+            descendant_of_exposure=v in query.exposure_descendants,
+            in_some_valid_adjustment_set=v in query.adjustable,
         )
         for v in dag.nodes
-    }
-    return RoleReport(roles)
+    })

@@ -428,6 +428,21 @@ class TestStudy:
         code, out, err = run_cli(capsys, "study", "--runs", "2", "--n", "50", *flags)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("flag", ["-o", "--estimates-csv"])
+    @pytest.mark.parametrize("target", ["", "missing/out.txt"], ids=["directory", "no_parent"])
+    def test_bad_output_path_exits_1_before_any_job(
+        self, capsys, tmp_path, monkeypatch, flag, target
+    ):
+        def no_jobs(jobs, workers):
+            raise AssertionError("a job ran before the output paths were checked")
+
+        monkeypatch.setattr(study, "_dispatch", no_jobs)
+        path = str(tmp_path / target)
+        code, out, err = run_cli(capsys, "study", "--runs", "2", "--n", "50", flag, path)
+        assert (code, out) == (1, "")
+        assert err == f"error: {flag} {path}: not a file in an existing directory\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_simulation_range_error_names_scenario_and_replication(
         self, capsys, tmp_path, workers
@@ -536,7 +551,9 @@ class TestInputErrors:
         ("collapse", "--table", "table1", "--measure", "foo"),
         ("study", "--runs", "abc"),
         (),
-    ], ids=["unknown_measure", "runs_not_int", "no_subcommand"])
+        ("fit", "--data", "d.csv", "--positivity", "--noncompliance"),
+    ], ids=["unknown_measure", "runs_not_int", "no_subcommand",
+            "positivity_and_noncompliance"])
     def test_usage_error_exits_1(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")

@@ -23,6 +23,7 @@ from causalreg import (
     path_blocked,
     satisfies_backdoor,
 )
+from causalreg import ident
 from causalreg.ident import EnumerationBoundError, IdentError
 
 from conftest import random_dag
@@ -157,6 +158,23 @@ class TestEnumeration:
         assert enumerate_adjustment_sets(
             q, minimal_only=True, allow_large=True
         ) == [frozenset()]
+
+    def test_empty_answer_costs_one_test_per_candidate(self, monkeypatch):
+        # 18 measured parents of A and an unmeasured confounder: no valid
+        # set, so listing must not test the 2^18 subsets of the candidates.
+        xs = [f"X{i:02d}" for i in range(18)]
+        edges = [(x, "A") for x in xs] + [("U", "A"), ("U", "Y"), ("A", "Y")]
+        q = CausalQuery(Dag(xs + ["U", "A", "Y"], edges), "A", "Y", frozenset(xs + ["A", "Y"]))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return d_separated(*args)
+
+        monkeypatch.setattr(ident, "d_separated", counted)
+        assert enumerate_adjustment_sets(q) == []
+        assert not any(r.in_some_valid_adjustment_set for r in classify_roles(q).roles.values())
+        assert len(calls) <= len(q.candidates) + 1
 
     def test_isolated_node_changes_no_verdict(self):
         base = dag_fixture("fig1a")
@@ -328,6 +346,9 @@ class TestPathOracle:
         union = frozenset().union(*valid)
         for v, role in classify_roles(q).roles.items():
             assert role.in_some_valid_adjustment_set == (v in union), v
+        minimal = [s for s in valid if not any(t < s for t in valid)]
+        listed = enumerate_adjustment_sets(q, minimal_only=True)
+        assert sorted(map(sorted, listed)) == sorted(map(sorted, minimal))
 
     @settings(max_examples=150)
     @given(st.integers(0, 10_000))
