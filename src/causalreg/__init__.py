@@ -19,7 +19,6 @@ from .estimators import (
 )
 from .fixtures import (
     dag_fixture,
-    fixture_names,
     mdag_fixture,
     model_fixture,
     table_fixture,

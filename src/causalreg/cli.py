@@ -215,7 +215,7 @@ def _cmd_collapse(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    model = parse_model(_read_source(args.model, "model"), name=args.model)
+    model = parse_model(_read_source(args.model, "model"))
     for spec in _split_csv_list(args.intervene):
         if "=" not in spec:
             raise ValueError(f"interventions look like NODE=VALUE, got {spec!r}")

@@ -162,13 +162,14 @@ def stacked_design(
     """Build (X, y) from columns of one shape (..., n): X is (..., n, p) with
     the intercept first, y is (..., n)."""
     y = columns[spec.outcome]
-    X = np.stack(
-        [np.ones(y.shape)]
-        + [columns[name] for name in spec.covariates]
-        + [columns[a] * columns[b] for a, b in spec.interactions]
-        + [columns[name] ** 2 for name in spec.squares],
-        axis=-1,
-    )
+    with np.errstate(over="ignore"):  # an overflow is the fit's verdict, not a warning
+        X = np.stack(
+            [np.ones(y.shape)]
+            + [columns[name] for name in spec.covariates]
+            + [columns[a] * columns[b] for a, b in spec.interactions]
+            + [columns[name] ** 2 for name in spec.squares],
+            axis=-1,
+        )
     return X, y
 
 
@@ -203,8 +204,8 @@ def _screen(
     X: np.ndarray, y: np.ndarray, spec: DesignSpec, binary: bool
 ) -> tuple[np.ndarray | None, list[FitError | None]]:
     """The checks every fit of a stack X (R, n, p), y (R, n) needs, in order:
-    more rows than parameters, a binary outcome (when ``binary``), full
-    column rank.
+    more rows than parameters, a binary outcome (when ``binary``), finite
+    design entries, full column rank.
 
     Returns the unpivoted R factors of [X | y] (R, p+1, p+1), or None when
     there are too few rows, and per problem None if it passed, else its
@@ -224,11 +225,16 @@ def _screen(
     finite = np.isfinite(rx).all(axis=(1, 2))
     sigma = np.linalg.svd(np.where(finite[:, None, None], rx, 0.0), compute_uv=False)
     margin = RANK_MARGIN * n * p * np.finfo(float).eps
+    names = spec.column_names()
+    # A non-finite entry of X leaves R non-finite, which fails this test too.
     for i in np.flatnonzero(~(sigma[:, -1] > margin * sigma[:, 0])):
         if out[i] is None:
             try:
-                _pivoted_qr(X[i], spec.column_names())
-            except RankDeficiencyError as exc:
+                bad = np.flatnonzero(~np.isfinite(X[i]).all(axis=0))
+                if bad.size:
+                    raise FitError(f"design column {names[bad[0]]!r} is not finite")
+                _pivoted_qr(X[i], names)
+            except FitError as exc:
                 out[i] = exc
     return r, out
 
@@ -437,21 +443,18 @@ def _subgroup_mean(y: np.ndarray, mask: np.ndarray, label: str) -> float:
     return float(y[mask].mean())
 
 
-def noncompliance_estimands(
-    data: Dataset,
-    assigned: str = "A_assigned",
-    taken: str = "A_taken",
-    outcome: str = "Y",
-) -> NoncomplianceEstimands:
+def noncompliance_estimands(data: Dataset) -> NoncomplianceEstimands:
     """Intention-to-treat, as-treated, per-protocol and complier effects.
 
-    All three columns must be binary.  ``cace`` divides the
-    intention-to-treat contrast by the uptake probability among those
-    assigned to treatment, ``ITT / P(A=1 | Z=1)``.  That equals the Wald
-    complier effect only under one-sided non-compliance (no uptake
-    among those assigned to control, ``control_uptake == 0``); otherwise
-    the Wald denominator is ``P(A=1 | Z=1) - control_uptake``.
+    The columns ``A_assigned``, ``A_taken`` and ``Y`` must be binary.
+    ``cace`` divides the intention-to-treat contrast by the uptake
+    probability among those assigned to treatment, ``ITT / P(A=1 | Z=1)``.
+    That equals the Wald complier effect only under one-sided
+    non-compliance (no uptake among those assigned to control,
+    ``control_uptake == 0``); otherwise the Wald denominator is
+    ``P(A=1 | Z=1) - control_uptake``.
     """
+    assigned, taken, outcome = "A_assigned", "A_taken", "Y"
     za = data.column(assigned)
     a = data.column(taken)
     y = data.column(outcome)

@@ -21,7 +21,6 @@ __all__ = [
     "mdag_fixture",
     "model_fixture",
     "table_fixture",
-    "fixture_names",
 ]
 
 DAG_FIXTURES: dict[str, str] = {
@@ -167,15 +166,6 @@ TABLE_FIXTURES: dict[str, str] = {
 }
 
 
-def fixture_names() -> dict[str, list[str]]:
-    return {
-        "dags": sorted(DAG_FIXTURES),
-        "mdags": sorted(MDAG_FIXTURES),
-        "models": sorted(MODEL_FIXTURES),
-        "tables": sorted(TABLE_FIXTURES),
-    }
-
-
 def dag_fixture(name: str) -> Dag:
     try:
         return parse_dag(DAG_FIXTURES[name])
@@ -192,7 +182,7 @@ def mdag_fixture(name: str) -> MDag:
 
 def model_fixture(name: str) -> StructuralModel:
     try:
-        return parse_model(MODEL_FIXTURES[name], name=name)
+        return parse_model(MODEL_FIXTURES[name])
     except KeyError:
         raise KeyError(f"no model fixture named {name!r}") from None
 

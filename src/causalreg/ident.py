@@ -173,6 +173,8 @@ def enumerate_adjustment_sets(
                 continue
             if satisfies_backdoor(query, s):
                 valid.append(s)
+        if minimal_only:  # no larger minimal set holds a kept ∅ or a kept {v}
+            pool = [v for v in pool if not any(kept <= {v} for kept in valid)]
     return valid
 
 

@@ -52,13 +52,14 @@ class MDagError(GraphError):
     """Invalid missingness-graph structure or query."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MDag:
     """A DAG plus the map from partially observed variables to indicators.
 
     ``base`` holds the complete graph, indicator nodes included.
-    Nodes that are neither indicators nor listed as partially observed
-    or fully observed count as unmeasured.
+    Nodes that are neither indicators, partially observed nor
+    ``unmeasured`` (default: names starting with ``U``) count as fully
+    observed.
     """
 
     base: Dag
@@ -69,18 +70,12 @@ class MDag:
         self,
         base: Dag,
         indicator_of: dict[str, str],
-        fully_observed: Iterable[str] | None = None,
         unmeasured: Iterable[str] | None = None,
     ):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "indicator_of", dict(indicator_of))
-        indicators = frozenset(self.indicator_of.values())
-        partial = frozenset(self.indicator_of)
-        if fully_observed is None:
-            hidden = hidden_nodes(base, unmeasured)
-            fully = frozenset(base.nodes) - indicators - partial - hidden
-        else:
-            fully = frozenset(fully_observed)
+        hidden = hidden_nodes(base, unmeasured)
+        fully = frozenset(base.nodes) - self.indicators - self.partially_observed - hidden
         object.__setattr__(self, "fully_observed", fully)
         self._validate()
 
@@ -93,13 +88,6 @@ class MDag:
             raise MDagError("two variables share a missingness indicator")
         if set(self.indicator_of) & set(indicators):
             raise MDagError("a node cannot be both partially observed and an indicator")
-        for name in self.fully_observed:
-            self.base.require(name)
-        overlap = self.fully_observed & (set(self.indicator_of) | set(indicators))
-        if overlap:
-            raise MDagError(
-                f"fully observed set overlaps indicators or partially observed: {sorted(overlap)}"
-            )
         ind_set = self.indicators
         for parent, child in self.base.edges:
             if parent in ind_set and child in self.substantive:
@@ -123,20 +111,6 @@ class MDag:
     def unmeasured(self) -> frozenset[str]:
         return frozenset(self.base.nodes) - self.indicators - self.substantive
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MDag):
-            return NotImplemented
-        return (
-            self.base == other.base
-            and self.indicator_of == other.indicator_of
-            and self.fully_observed == other.fully_observed
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.base, tuple(sorted(self.indicator_of.items())), self.fully_observed)
-        )
-
 
 @dataclass(frozen=True)
 class MechanismVerdict:
@@ -151,11 +125,6 @@ class IndependenceStatement:
     indicator: str
     independent: tuple[str, ...]
     given: tuple[str, ...]
-
-    def render(self) -> str:
-        lhs = ", ".join(self.independent) if self.independent else "{}"
-        rhs = ", ".join(self.given) if self.given else "{}"
-        return f"{self.indicator} _||_ {lhs} | {rhs}"
 
     def as_dict(self) -> dict:
         return {
@@ -178,9 +147,6 @@ def parse_mdag(text: str) -> MDag:
     dag_lines: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        if not line.strip():
-            dag_lines.append("")
-            continue
         m = _MISSING_DIRECTIVE_RE.match(line)
         if m:
             var, ind = m.group(1), m.group(2)
@@ -197,18 +163,10 @@ def parse_mdag(text: str) -> MDag:
             dag_lines.append("")
             continue
         dag_lines.append(line)
-
-    base = parse_dag("\n".join(dag_lines))
-    # Indicator nodes mentioned only in directives still belong to the graph.
-    extra = [
-        n
-        for pair in indicator_of.items()
-        for n in pair
-        if n not in base.node_set
-    ]
-    if extra:
-        base = Dag(tuple(base.nodes) + tuple(dict.fromkeys(extra)), base.edges)
-    return MDag(base, indicator_of, unmeasured=unmeasured)
+    # Nodes named only in directives still belong to the graph: node lines
+    # after the text add them, in directive order, after every other node.
+    dag_lines += [n for pair in indicator_of.items() for n in pair]
+    return MDag(parse_dag("\n".join(dag_lines)), indicator_of, unmeasured=unmeasured)
 
 
 def classify_mechanism(m: MDag) -> MechanismVerdict:

@@ -163,26 +163,17 @@ class Intervention:
     node: str
     value: float
 
-    def render(self) -> str:
-        return f"{self.node}={_fmt(self.value)}"
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class StructuralModel:
     """Node laws in temporal order.
 
     Built only by :func:`parse_model`, which rejects duplicate nodes and
-    forward references with their line, and by :func:`intervene`.
+    forward references with their line, and by :func:`intervene`, whose
+    ``constant`` laws record the interventions.
     """
 
     specs: tuple[NodeSpec, ...]
-    name: str | None = None
-    interventions: tuple[Intervention, ...] = ()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StructuralModel):
-            return NotImplemented
-        return self.specs == other.specs
 
     @cached_property
     def node_names(self) -> tuple[str, ...]:
@@ -363,7 +354,7 @@ def parse_expr(text: str, line: int | None = None) -> Expr:
     return expr
 
 
-def parse_model(text: str, name: str | None = None) -> StructuralModel:
+def parse_model(text: str) -> StructuralModel:
     """Parse node declarations, one ``name ~ dist(args)`` per line.
 
     Declaration order is the temporal order: expressions may reference
@@ -378,7 +369,7 @@ def parse_model(text: str, name: str | None = None) -> StructuralModel:
             declared.add(specs[-1].name)
     if not specs:
         raise ModelParseError("model declares no nodes")
-    return StructuralModel(tuple(specs), name=name)
+    return StructuralModel(tuple(specs))
 
 
 # --- sampling ---------------------------------------------------------------
@@ -529,7 +520,7 @@ def intervene(model: StructuralModel, intervention: Intervention) -> StructuralM
     checks that the node's original law implies.
     """
     spec = model.spec_for(intervention.node)
-    if any(iv.node == intervention.node for iv in model.interventions):
+    if spec.dist == "constant":
         raise ValueError(f"{intervention.node!r} already has an intervention")
     if not math.isfinite(intervention.value):
         raise ValueError("intervention value must be finite")
@@ -539,18 +530,25 @@ def intervene(model: StructuralModel, intervention: Intervention) -> StructuralM
         )
     new_spec = NodeSpec(spec.name, "constant", (Expr.constant(intervention.value),))
     specs = tuple(new_spec if s.name == spec.name else s for s in model.specs)
-    return StructuralModel(
-        specs, name=model.name, interventions=model.interventions + (intervention,)
-    )
+    return StructuralModel(specs)
 
 
 @dataclass(frozen=True)
 class EffectEstimate:
-    estimand: str
     value: float
     mc_se: float
-    n_oracle: int
-    seed: int
+
+
+def check_oracle_model(
+    model: StructuralModel, exposure: str, outcome: str, estimand: str
+) -> None:
+    """What :func:`true_effect` needs of the model: an exposure node it can
+    set to 0 and 1, an outcome node, and a bernoulli outcome for log_MOR."""
+    if model.spec_for(exposure).dist != "bernoulli":
+        raise ValueError(f"exposure {exposure!r} must be a bernoulli node")
+    outcome_spec = model.spec_for(outcome)
+    if estimand == LOG_MOR and outcome_spec.dist != "bernoulli":
+        raise ValueError("log_MOR requires a binary (bernoulli) outcome")
 
 
 def true_effect(
@@ -571,12 +569,7 @@ def true_effect(
         raise ValueError(f"unknown estimand {estimand!r}; expected one of {ESTIMANDS}")
     if n_oracle < ORACLE_MIN_N:
         raise ValueError(f"n_oracle must be at least {ORACLE_MIN_N}")
-    exposure_spec = model.spec_for(exposure)
-    if exposure_spec.dist != "bernoulli":
-        raise ValueError(f"exposure {exposure!r} must be a bernoulli node")
-    outcome_spec = model.spec_for(outcome)
-    if estimand == LOG_MOR and outcome_spec.dist != "bernoulli":
-        raise ValueError("log_MOR requires a binary (bernoulli) outcome")
+    check_oracle_model(model, exposure, outcome, estimand)
 
     y1, y0 = (
         simulate_block(
@@ -589,7 +582,7 @@ def true_effect(
         diff = y1 - y0
         value = float(diff.mean())
         mc_se = float(diff.std(ddof=1) / math.sqrt(n_oracle))
-        return EffectEstimate(ATE, value, mc_se, n_oracle, seed)
+        return EffectEstimate(value, mc_se)
 
     p1 = float(y1.mean())
     p0 = float(y0.mean())
@@ -603,4 +596,4 @@ def true_effect(
     cov = float(np.mean((y1 - p1) * (y0 - p0)))
     var = (g1 * g1 * p1 * (1 - p1) + g0 * g0 * p0 * (1 - p0) - 2 * g1 * g0 * cov) / n_oracle
     mc_se = math.sqrt(max(var, 0.0))
-    return EffectEstimate(LOG_MOR, float(value), mc_se, n_oracle, seed)
+    return EffectEstimate(float(value), mc_se)

@@ -29,9 +29,9 @@ from .scm import (
     ESTIMANDS,
     LOG_MOR,
     ORACLE_MIN_N,
-    ModelParseError,
     SimulationError,
     StructuralModel,
+    check_oracle_model,
     parse_model,
     simulate_block,
     true_effect,
@@ -114,22 +114,24 @@ class Scenario:
             )
 
     def resolve_model(self) -> StructuralModel:
-        """The scenario's model; every column the scenario reads must be a node."""
-        if "~" in self.model:
-            try:
-                model = parse_model(self.model, name=self.id)
-            except ModelParseError as exc:
-                raise ValueError(f"scenario {self.id!r}: {exc}") from None
-        elif self.model in MODEL_FIXTURES:
-            model = model_fixture(self.model)
-        else:
-            raise ValueError(f"scenario {self.id!r}: unknown model fixture {self.model!r}")
-        read = {*self.design.variables(), *self.require_ones}
-        missing = sorted(read - set(model.node_names))
-        if missing:
-            raise ValueError(
-                f"scenario {self.id!r}: column {missing[0]!r} is not a node of its model"
-            )
+        """The scenario's model; every column the scenario reads must be a node,
+        and a scenario without ``true_value`` must give its oracle what it needs.
+        Errors name the scenario."""
+        try:
+            if "~" in self.model:
+                model = parse_model(self.model)
+            elif self.model in MODEL_FIXTURES:
+                model = model_fixture(self.model)
+            else:
+                raise ValueError(f"unknown model fixture {self.model!r}")
+            read = {*self.design.variables(), *self.require_ones}
+            missing = sorted(read - set(model.node_names))
+            if missing:
+                raise ValueError(f"column {missing[0]!r} is not a node of its model")
+            if self.true_value is None:
+                check_oracle_model(model, self.target, self.design.outcome, self.estimand)
+        except ValueError as exc:  # a ModelParseError is one too
+            raise ValueError(f"scenario {self.id!r}: {exc}") from None
         return model
 
     def display_label(self) -> str:

@@ -306,6 +306,18 @@ class TestFit:
         assert doc["cace"] == pytest.approx(1 / 3)
         assert doc["control_uptake"] == 0.25
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_design_column_exits_3(self, capsys, tmp_path):
+        # 1e200 squared overflows: a fit verdict, with no numpy warning.
+        path = tmp_path / "big.csv"
+        rows = [f"{x},{2 * x + (-1) ** x}" for x in range(20)] + ["1e200,1"]
+        path.write_text("X,Y\n" + "\n".join(rows) + "\n")
+        code, out, err = run_cli(
+            capsys, "fit", "--data", str(path), "--covariates", "X", "--squares", "X",
+        )
+        assert (code, out, err) == (
+            3, "", "numerical failure: design column 'X^2' is not finite\n")
+
     def test_header_only_csv_exits_1(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("x,y\n")
@@ -461,6 +473,48 @@ class TestStudy:
             "numerical failure: scenario 's', replication 12: "
             "node 'A': probability outside [0, 1] at row 43\n"
         )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_non_finite_design_column_fails_each_replication(
+        self, capsys, tmp_path, workers
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(_one_scenario_config(
+            {"model": "L ~ normal(0, 1)\nA ~ bernoulli(0.5)\nB ~ normal(1e200*L, 1)\n"
+                      "Y ~ normal(A, 1)\n",
+             "design": {"outcome": "Y", "covariates": ["A"], "squares": ["B"]}},
+            replications=20, sample_size=50,
+        ))
+        code, out, err = run_cli(capsys, "study", "--config", str(path),
+                                 "--workers", workers)
+        assert (code, out) == (3, "")
+        failure = "design column 'B^2' is not finite"
+        assert err == (
+            "numerical failure: scenario 's': 20 of 20 replications failed ("
+            + "; ".join(f"rep {rep}: {failure}" for rep in range(5)) + ")\n"
+        )
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("change, message", [
+        ({"target": "L"}, "exposure 'L' must be a bernoulli node"),
+        ({"target": "A:L", "design": {"outcome": "Y", "covariates": ["A", "L"],
+                                      "interactions": [["A", "L"]]}},
+         "unknown node 'A:L'"),
+        ({"estimand": "log_MOR"}, "log_MOR requires a binary (bernoulli) outcome"),
+    ], ids=["normal_exposure", "interaction_target", "log_mor_normal_outcome"])
+    def test_oracle_requirement_names_scenario_before_any_job(
+        self, capsys, tmp_path, monkeypatch, change, message, workers
+    ):
+        def no_jobs(jobs, workers):
+            raise AssertionError("a job ran before the oracle's model was checked")
+
+        monkeypatch.setattr(study, "_dispatch", no_jobs)
+        path = tmp_path / "config.json"
+        path.write_text(_one_scenario_config({"true_value": None, **change}))
+        code, out, err = run_cli(capsys, "study", "--config", str(path),
+                                 "--workers", workers)
+        assert (code, out, err) == (1, "", f"error: scenario 's': {message}\n")
 
     def test_text_format(self, capsys):
         code, out, _ = run_cli(

@@ -159,6 +159,24 @@ class TestEnumeration:
             q, minimal_only=True, allow_large=True
         ) == [frozenset()]
 
+    def test_minimal_listing_stops_once_the_empty_set_is_valid(self, monkeypatch):
+        names = ["A", "Y"] + [f"X{i:02d}" for i in range(21)]
+        dag = Dag(names, [("A", "Y")])
+        q = CausalQuery(dag, "A", "Y", frozenset(dag.nodes) - {"A", "Y"})
+        yielded = 0
+
+        def counted(pool, size):
+            nonlocal yielded
+            for combo in combinations(pool, size):
+                yielded += 1
+                yield combo
+
+        monkeypatch.setattr(ident, "combinations", counted)
+        assert enumerate_adjustment_sets(
+            q, minimal_only=True, allow_large=True
+        ) == [frozenset()]
+        assert yielded <= len(q.adjustable) + 1
+
     def test_empty_answer_costs_one_test_per_candidate(self, monkeypatch):
         # 18 measured parents of A and an unmeasured confounder: no valid
         # set, so listing must not test the 2^18 subsets of the candidates.

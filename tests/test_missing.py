@@ -40,7 +40,7 @@ missing: Y -> C_Y
 def drop_edges(m: MDag, *edges: tuple[str, str]) -> MDag:
     remaining = [e for e in m.base.edges if e not in set(edges)]
     return MDag(
-        Dag(m.base.nodes, remaining), m.indicator_of, fully_observed=m.fully_observed
+        Dag(m.base.nodes, remaining), m.indicator_of, unmeasured=m.unmeasured
     )
 
 

@@ -312,7 +312,7 @@ class TestIntervene:
         m = intervene(model_fixture("setup1"), Intervention("A", 1.0))
         data = simulate(m, 200, seed=4)
         assert np.array_equal(data.column("A"), np.ones(200))
-        assert m.interventions == (Intervention("A", 1.0),)
+        assert m.spec_for("A").render() == "A ~ constant(1)"
 
     def test_setup6_mediator_law_unchanged(self):
         m = intervene(model_fixture("setup6"), Intervention("A", 0.0))
