@@ -41,7 +41,6 @@ from .graph import (
 )
 from .ident import (
     CausalQuery,
-    RoleReport,
     backdoor_paths,
     classify_roles,
     enumerate_adjustment_sets,
@@ -65,7 +64,6 @@ from .scm import (
     Dataset,
     EffectEstimate,
     Expr,
-    Intervention,
     ModelParseError,
     SimulationError,
     StructuralModel,

@@ -82,7 +82,7 @@ class DesignSpec:
     """Outcome plus covariate terms of a regression model."""
 
     outcome: str
-    covariates: tuple[str, ...]
+    covariates: tuple[str, ...] = ()
     interactions: tuple[tuple[str, str], ...] = ()
     squares: tuple[str, ...] = ()
 
@@ -113,14 +113,6 @@ class DesignSpec:
         names += [f"{a}:{b}" for a, b in self.interactions]
         names += [f"{v}^2" for v in self.squares]
         return tuple(names)
-
-    def as_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "covariates": list(self.covariates),
-            "interactions": [list(p) for p in self.interactions],
-            "squares": list(self.squares),
-        }
 
 
 @dataclass(frozen=True)
@@ -205,7 +197,7 @@ def _screen(
 ) -> tuple[np.ndarray | None, list[FitError | None]]:
     """The checks every fit of a stack X (R, n, p), y (R, n) needs, in order:
     more rows than parameters, a binary outcome (when ``binary``), finite
-    design entries, full column rank.
+    design entries, full column rank, a finite outcome.
 
     Returns the unpivoted R factors of [X | y] (R, p+1, p+1), or None when
     there are too few rows, and per problem None if it passed, else its
@@ -236,6 +228,9 @@ def _screen(
                 _pivoted_qr(X[i], names)
             except FitError as exc:
                 out[i] = exc
+    for i in np.flatnonzero(~np.isfinite(y).all(axis=1)):
+        if out[i] is None:
+            out[i] = FitError(f"outcome {spec.outcome!r} is not finite")
     return r, out
 
 

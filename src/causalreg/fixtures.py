@@ -166,29 +166,24 @@ TABLE_FIXTURES: dict[str, str] = {
 }
 
 
-def dag_fixture(name: str) -> Dag:
+def _text(registry: dict[str, str], kind: str, name: str) -> str:
     try:
-        return parse_dag(DAG_FIXTURES[name])
+        return registry[name]
     except KeyError:
-        raise KeyError(f"no DAG fixture named {name!r}") from None
+        raise KeyError(f"no {kind} fixture named {name!r}") from None
+
+
+def dag_fixture(name: str) -> Dag:
+    return parse_dag(_text(DAG_FIXTURES, "DAG", name))
 
 
 def mdag_fixture(name: str) -> MDag:
-    try:
-        return parse_mdag(MDAG_FIXTURES[name])
-    except KeyError:
-        raise KeyError(f"no m-DAG fixture named {name!r}") from None
+    return parse_mdag(_text(MDAG_FIXTURES, "m-DAG", name))
 
 
 def model_fixture(name: str) -> StructuralModel:
-    try:
-        return parse_model(MODEL_FIXTURES[name])
-    except KeyError:
-        raise KeyError(f"no model fixture named {name!r}") from None
+    return parse_model(_text(MODEL_FIXTURES, "model", name))
 
 
 def table_fixture(name: str) -> StratifiedTable:
-    try:
-        return load_table_csv(TABLE_FIXTURES[name])
-    except KeyError:
-        raise KeyError(f"no table fixture named {name!r}") from None
+    return load_table_csv(_text(TABLE_FIXTURES, "table", name))

@@ -17,7 +17,6 @@ from .graph import Dag, GraphError, Path, all_paths, ancestors, d_separated, des
 __all__ = [
     "CausalQuery",
     "NodeRole",
-    "RoleReport",
     "IdentError",
     "EnumerationBoundError",
     "backdoor_paths",
@@ -113,19 +112,6 @@ class NodeRole:
     in_some_valid_adjustment_set: bool = False
 
 
-@dataclass(frozen=True)
-class RoleReport:
-    roles: dict[str, NodeRole]
-
-    def __getitem__(self, node: str) -> NodeRole:
-        return self.roles[node]
-
-    def as_dict(self) -> dict[str, dict[str, bool]]:
-        # vars, not dataclasses.asdict: this runs once per node per query,
-        # and asdict's recursive deep copy costs about 25 times as much.
-        return {node: dict(vars(role)) for node, role in sorted(self.roles.items())}
-
-
 def backdoor_paths(query: CausalQuery) -> list[Path]:
     """All simple exposure-outcome paths whose first edge points into the exposure."""
     return [p for p in query.paths if p.starts_into_origin()]
@@ -178,8 +164,9 @@ def enumerate_adjustment_sets(
     return valid
 
 
-def classify_roles(query: CausalQuery) -> RoleReport:
-    """Per-node structural flags relative to the exposure-outcome pair.
+def classify_roles(query: CausalQuery) -> dict[str, NodeRole]:
+    """Per-node structural flags relative to the exposure-outcome pair, in
+    the DAG's node order.
 
     Back-door and collider flags refer to interior positions on simple
     exposure-outcome paths.  Mediators are De(A) ∩ An(Y), the interiors
@@ -197,7 +184,7 @@ def classify_roles(query: CausalQuery) -> RoleReport:
     mediators = query.exposure_descendants & ancestors(dag, query.outcome)
     desc_of_mediator = descendants(dag, *mediators)
 
-    return RoleReport({
+    return {
         v: NodeRole(
             on_backdoor_path=v in on_backdoor,
             collider_on_ay_path=v in colliders,
@@ -207,4 +194,4 @@ def classify_roles(query: CausalQuery) -> RoleReport:
             in_some_valid_adjustment_set=v in query.adjustable,
         )
         for v in dag.nodes
-    })
+    }

@@ -30,7 +30,6 @@ __all__ = [
     "Expr",
     "NodeSpec",
     "StructuralModel",
-    "Intervention",
     "Dataset",
     "EffectEstimate",
     "ModelParseError",
@@ -156,12 +155,6 @@ class NodeSpec:
 
     def referenced(self) -> frozenset[str]:
         return frozenset(n for p in self.params for n in p.variables())
-
-
-@dataclass(frozen=True)
-class Intervention:
-    node: str
-    value: float
 
 
 @dataclass(frozen=True)
@@ -425,14 +418,17 @@ def _node_key(node: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _checks(spec: NodeSpec, params: list[np.ndarray]) -> list[tuple[np.ndarray, str]]:
-    """(mask of invalid values, what is invalid) for each range check of a node,
-    in the order they apply."""
+def _checks(
+    spec: NodeSpec, params: list[np.ndarray], draws: np.ndarray
+) -> list[tuple[np.ndarray, str]]:
+    """(mask of invalid values, what is invalid) for each range check of a
+    drawn node, in the order they apply."""
     if spec.dist == "normal":
         mean, sd = params
         return [
             (~np.isfinite(mean), "non-finite mean"),
             (~np.isfinite(sd) | (sd < 0), "invalid sd"),
+            (~np.isfinite(draws), "non-finite draw"),
         ]
     if spec.dist == "bernoulli":
         (prob,) = params
@@ -449,11 +445,11 @@ def simulate_block(
 
     Row ``i`` of every array is replication ``reps[i]``, drawn from the
     substreams keyed by (seed, node, reps[i]), so it does not depend on
-    which other replications share the block.  Each node's parameters
-    are evaluated, and range-checked, once for the whole block.  A
-    failed check raises the error of the lowest failing replication (its
-    first failing node, then row), as drawing the replications one by
-    one would.
+    which other replications share the block.  Each node is evaluated,
+    drawn and then range-checked once for the whole block.  A failed
+    check raises the error of the lowest failing replication (its first
+    failing node, then row), as drawing the replications one by one
+    would.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -462,41 +458,43 @@ def simulate_block(
     reps = list(reps)
     columns: dict[str, np.ndarray] = {}
     failure: SimulationError | None = None
-    for spec in model.specs:
-        params = [p.evaluate(columns, (len(reps), n)) for p in spec.params]
-        checks = _checks(spec, params)
-        failed = np.zeros(len(reps), dtype=bool)
-        for bad, _ in checks:
-            failed |= bad.any(axis=1)
-        if failed.any():
-            # Replications from the first failure on are never drawn:
-            # only a lower one can fail at a later node and win.
-            k = int(np.argmax(failed))
-            what, row = next((what, int(np.argmax(bad[k]))) for bad, what in checks
-                             if bad[k].any())
-            failure = SimulationError(
-                f"node {spec.name!r}: {what} at row {row}", rep=reps[k]
-            )
-            reps = reps[:k]
-            params = [p[:k] for p in params]
-            columns = {name: col[:k] for name, col in columns.items()}
-        if spec.dist == "constant":
-            columns[spec.name] = params[0]
-            continue
-        key = _node_key(spec.name)
-        draws = np.empty((len(reps), n))
-        for i, rep in enumerate(reps):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, key, rep)))
+    # A value that overflows or is undefined is a range check's verdict,
+    # not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for spec in model.specs:
+            params = [p.evaluate(columns, (len(reps), n)) for p in spec.params]
+            if spec.dist == "constant":
+                columns[spec.name] = params[0]
+                continue
+            key = _node_key(spec.name)
+            draws = np.empty((len(reps), n))
+            for i, rep in enumerate(reps):
+                rng = np.random.default_rng(np.random.SeedSequence((seed, key, rep)))
+                if spec.dist == "normal":
+                    rng.standard_normal(n, out=draws[i])
+                else:
+                    rng.random(n, out=draws[i])
             if spec.dist == "normal":
-                rng.standard_normal(n, out=draws[i])
+                draws *= params[1]
+                draws += params[0]
+                columns[spec.name] = draws
             else:
-                rng.random(n, out=draws[i])
-        if spec.dist == "normal":
-            draws *= params[1]
-            draws += params[0]
-            columns[spec.name] = draws
-        else:
-            columns[spec.name] = (draws < params[0]).astype(float)
+                columns[spec.name] = (draws < params[0]).astype(float)
+            checks = _checks(spec, params, draws)
+            failed = np.zeros(len(reps), dtype=bool)
+            for bad, _ in checks:
+                failed |= bad.any(axis=1)
+            if failed.any():
+                # Replications from the first failure on are dropped: only
+                # a lower one can fail at a later node and win.
+                k = int(np.argmax(failed))
+                what, row = next((what, int(np.argmax(bad[k]))) for bad, what in checks
+                                 if bad[k].any())
+                failure = SimulationError(
+                    f"node {spec.name!r}: {what} at row {row}", rep=reps[k]
+                )
+                reps = reps[:k]
+                columns = {name: col[:k] for name, col in columns.items()}
     if failure is not None:
         raise failure
     return columns
@@ -513,22 +511,21 @@ def simulate(model: StructuralModel, n: int, seed: int, rep: int = 0) -> Dataset
     return Dataset.from_columns({name: col[0] for name, col in block.items()})
 
 
-def intervene(model: StructuralModel, intervention: Intervention) -> StructuralModel:
-    """Replace the target node's law with a constant; all else untouched.
+def intervene(model: StructuralModel, node: str, value: float) -> StructuralModel:
+    """Set ``node`` to ``value``: replace its law with a constant; all else
+    untouched.
 
     A node takes at most one intervention: a second one would skip the
     checks that the node's original law implies.
     """
-    spec = model.spec_for(intervention.node)
+    spec = model.spec_for(node)
     if spec.dist == "constant":
-        raise ValueError(f"{intervention.node!r} already has an intervention")
-    if not math.isfinite(intervention.value):
+        raise ValueError(f"{node!r} already has an intervention")
+    if not math.isfinite(value):
         raise ValueError("intervention value must be finite")
-    if spec.dist == "bernoulli" and intervention.value not in (0.0, 1.0):
-        raise ValueError(
-            f"{intervention.node!r} is bernoulli; intervention value must be 0 or 1"
-        )
-    new_spec = NodeSpec(spec.name, "constant", (Expr.constant(intervention.value),))
+    if spec.dist == "bernoulli" and value not in (0.0, 1.0):
+        raise ValueError(f"{node!r} is bernoulli; intervention value must be 0 or 1")
+    new_spec = NodeSpec(spec.name, "constant", (Expr.constant(value),))
     specs = tuple(new_spec if s.name == spec.name else s for s in model.specs)
     return StructuralModel(specs)
 
@@ -573,7 +570,7 @@ def true_effect(
 
     y1, y0 = (
         simulate_block(
-            intervene(model, Intervention(exposure, value)), n_oracle, seed, range(1)
+            intervene(model, exposure, value), n_oracle, seed, range(1)
         )[outcome][0]
         for value in (1.0, 0.0)
     )

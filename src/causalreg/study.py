@@ -85,12 +85,13 @@ _TRUTH = ("a finite number or null", lambda v: v is None or (
     isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)))
 
 
-def _field(doc: dict, field: str, kind: tuple, where: str, default: object = None):
-    """``doc[field]`` (``default`` when absent), which must be of ``kind``."""
-    value = doc.get(field, default)
-    if not kind[1](value):
-        raise ValueError(f"{where}: field {field!r} must be {kind[0]}")
-    return value
+def _fields(doc: dict, kinds: dict[str, tuple], where: str) -> dict:
+    """The fields of ``doc`` named in ``kinds``, each of its kind; an absent
+    field is left out, so that the dataclass default fills it in."""
+    for field, (what, test) in kinds.items():
+        if field in doc and not test(doc[field]):
+            raise ValueError(f"{where}: field {field!r} must be {what}")
+    return {field: doc[field] for field in kinds if field in doc}
 
 
 @dataclass(frozen=True)
@@ -100,12 +101,14 @@ class Scenario:
     design: DesignSpec
     target: str
     estimand: str = ATE
-    label: str | None = None
+    label: str | None = None  # None means the id
     true_value: float | None = None  # exact truth; None means oracle-derived
     require_ones: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "require_ones", tuple(self.require_ones))
+        if self.label is None:
+            object.__setattr__(self, "label", self.id)
         if self.estimand not in ESTIMANDS:
             raise ValueError(f"unknown estimand {self.estimand!r}")
         if self.target not in self.design.column_names():
@@ -134,44 +137,29 @@ class Scenario:
             raise ValueError(f"scenario {self.id!r}: {exc}") from None
         return model
 
-    def display_label(self) -> str:
-        return self.label if self.label is not None else self.id
-
-    def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "label": self.display_label(),
-            "model": self.model,
-            "design": self.design.as_dict(),
-            "target": self.target,
-            "estimand": self.estimand,
-            "true_value": self.true_value,
-            "require_ones": list(self.require_ones),
-        }
-
     @classmethod
     def from_dict(cls, doc: dict, index: int = 0) -> "Scenario":
         """A scenario from its JSON object, at position ``index`` of a config."""
         _require(doc, ("id", "model", "design", "target"), f"scenario {index}")
         design = doc["design"]
         _require(design, ("outcome",), f"scenario {index} design")
-        scenario_id = _field(doc, "id", _TEXT, f"scenario {index}")
-        where = f"scenario {scenario_id!r}"
-        spec = {
-            "outcome": _field(design, "outcome", _TEXT, where),
-            "covariates": _field(design, "covariates", _NAMES, where, []),
-            "interactions": _field(design, "interactions", _PAIRS, where, []),
-            "squares": _field(design, "squares", _NAMES, where, []),
-        }
-        fields = {
-            "id": scenario_id,
-            "model": _field(doc, "model", _TEXT, where),
-            "target": _field(doc, "target", _TEXT, where),
-            "estimand": _field(doc, "estimand", _TEXT, where, ATE),
-            "label": _field(doc, "label", _LABEL, where),
-            "true_value": _field(doc, "true_value", _TRUTH, where),
-            "require_ones": _field(doc, "require_ones", _NAMES, where, []),
-        }
+        _fields(doc, {"id": _TEXT}, f"scenario {index}")
+        where = f"scenario {doc['id']!r}"
+        spec = _fields(design, {
+            "outcome": _TEXT,
+            "covariates": _NAMES,
+            "interactions": _PAIRS,
+            "squares": _NAMES,
+        }, where)
+        fields = _fields(doc, {
+            "id": _TEXT,
+            "model": _TEXT,
+            "target": _TEXT,
+            "estimand": _TEXT,
+            "label": _LABEL,
+            "true_value": _TRUTH,
+            "require_ones": _NAMES,
+        }, where)
         try:
             return cls(design=DesignSpec(**spec), **fields)
         except ValueError as exc:
@@ -199,27 +187,18 @@ class StudyConfig:
         if len(set(ids)) != len(ids):
             raise ValueError("scenario ids must be unique")
 
-    def as_dict(self) -> dict:
-        return {
-            "replications": self.replications,
-            "sample_size": self.sample_size,
-            "seed": self.seed,
-            "oracle_n": self.oracle_n,
-            "scenarios": [s.as_dict() for s in self.scenarios],
-        }
-
     @classmethod
     def from_dict(cls, doc: dict) -> "StudyConfig":
         where = "study config"
         _require(doc, (), where)
-        scenarios = _field(doc, "scenarios", _ARRAY, where, [])
-        return cls(
-            scenarios=tuple(Scenario.from_dict(s, index=i) for i, s in enumerate(scenarios)),
-            replications=_field(doc, "replications", _INT, where, 1000),
-            sample_size=_field(doc, "sample_size", _INT, where, 1000),
-            seed=_field(doc, "seed", _INT, where, 0),
-            oracle_n=_field(doc, "oracle_n", _INT, where, 1_000_000),
-        )
+        scenarios = _fields(doc, {"scenarios": _ARRAY}, where).get("scenarios", [])
+        scenarios = tuple(Scenario.from_dict(s, index=i) for i, s in enumerate(scenarios))
+        return cls(scenarios, **_fields(doc, {
+            "replications": _INT,
+            "sample_size": _INT,
+            "seed": _INT,
+            "oracle_n": _INT,
+        }, where))
 
 
 @dataclass(frozen=True)
@@ -246,7 +225,7 @@ class BiasReport:
 
     def as_dict(self) -> dict:
         return {
-            "config": self.config.as_dict(),
+            "config": asdict(self.config),
             "scenarios": [asdict(r) for r in self.results],
         }
 
@@ -257,11 +236,9 @@ class BiasReport:
         raise KeyError(f"no scenario {scenario_id!r} in report")
 
 
-def default_study_config(
-    replications: int = 1000, sample_size: int = 1000, seed: int = 0,
-    oracle_n: int = 1_000_000,
-) -> StudyConfig:
-    """The ten-scenario bias panel at desk scale."""
+def default_study_config(**settings: int) -> StudyConfig:
+    """The ten-scenario bias panel at desk scale; ``settings`` are the other
+    :class:`StudyConfig` fields (replications, sample_size, seed, oracle_n)."""
     mediation_ate = 1.0 + float(expit(-1.5)) - float(expit(0.5))
     ya_l = DesignSpec(outcome="Y", covariates=("A", "L"))
     ya = DesignSpec(outcome="Y", covariates=("A",))
@@ -295,13 +272,7 @@ def default_study_config(
                  label="ATE, setup 7: MNAR + complete cases", true_value=1.0,
                  require_ones=("C_A", "C_L2", "C_Y")),
     )
-    return StudyConfig(
-        scenarios=scenarios,
-        replications=replications,
-        sample_size=sample_size,
-        seed=seed,
-        oracle_n=oracle_n,
-    )
+    return StudyConfig(scenarios, **settings)
 
 
 def _replicate(
@@ -380,7 +351,7 @@ def _aggregate(
     value, provenance = truth
     result = ScenarioResult(
         id=scenario.id,
-        label=scenario.display_label(),
+        label=scenario.label,
         estimand=scenario.estimand,
         sample_size=config.sample_size,
         replications=int(values.size),

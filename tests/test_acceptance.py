@@ -229,11 +229,11 @@ def test_criterion_4_missingness_suite():
         assert "L2 -> C_A" in verdict.witnesses
 
         statements = {s.indicator: s for s in implied_independencies(m)}
-        assert statements["C_L2"].independent == ("L2", "Y")
+        assert statements["C_L2"].independent_of == ("L2", "Y")
         assert statements["C_L2"].given == ("A", "L1")
-        assert statements["C_A"].independent == ("A", "Y")
+        assert statements["C_A"].independent_of == ("A", "Y")
         assert statements["C_A"].given == ("L1", "L2")
-        assert statements["C_Y"].independent == ("Y",)
+        assert statements["C_Y"].independent_of == ("Y",)
         assert statements["C_Y"].given == ("A", "L1", "L2")
 
         assert complete_case_valid(m, "A", "Y", {"L1", "L2"}) is True

@@ -183,6 +183,22 @@ class TestSimulate:
         for line in out.strip().splitlines()[1:]:
             assert line.split(",")[1] == "1.0"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("model, message", [
+        ("A ~ bernoulli(0.5)\nY ~ normal(A, 1e308)\n",
+         "node 'Y': non-finite draw at row 2"),
+        ("L ~ normal(0, 1)\nY ~ normal(1e200*L, 1)\nZ ~ normal(Y*Y, 1)\n",
+         "node 'Z': non-finite mean at row 0"),
+    ], ids=["overflowing_draw", "overflowing_mean"])
+    def test_non_finite_value_exits_3_with_one_line(
+        self, capsys, tmp_path, model, message
+    ):
+        path = tmp_path / "model.txt"
+        path.write_text(model)
+        code, out, err = run_cli(capsys, "simulate", "--model", str(path), "--n", "20",
+                                 "--seed", "0")
+        assert (code, out, err) == (3, "", f"numerical failure: {message}\n")
+
     def test_env_var_default_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("CAUSALREG_SEED", "11")
         import causalreg.cli as cli_module
@@ -472,6 +488,25 @@ class TestStudy:
         assert err == (
             "numerical failure: scenario 's', replication 12: "
             "node 'A': probability outside [0, 1] at row 43\n"
+        )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_non_finite_draw_names_scenario_and_replication(
+        self, capsys, tmp_path, workers
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(_one_scenario_config(
+            {"model": "A ~ bernoulli(0.5)\nY ~ normal(A, 1e308)\n",
+             "design": {"outcome": "Y", "covariates": ["A"]}},
+            replications=20, sample_size=100, seed=1,
+        ))
+        code, out, err = run_cli(capsys, "study", "--config", str(path),
+                                 "--workers", workers)
+        assert (code, out) == (3, "")
+        assert err == (
+            "numerical failure: scenario 's', replication 0: "
+            "node 'Y': non-finite draw at row 18\n"
         )
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -110,6 +110,13 @@ class TestOls:
             ols_fit(data, DesignSpec("y", ("a", "b")))
         assert set(exc.value.columns) & {"a", "b"}
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_outcome_rejected(self):
+        data = dataset(x=[0.0, 1.0, 2.0, 3.0], y=[1.0, np.inf, 5.0, 7.0])
+        with pytest.raises(FitError) as info:
+            ols_fit(data, DesignSpec("y", ("x",)))
+        assert str(info.value) == "outcome 'y' is not finite"
+
     def test_underdetermined_rejected(self):
         data = dataset(a=[1.0, 2.0], y=[1.0, 2.0])
         with pytest.raises(FitError, match="more rows"):
@@ -258,6 +265,20 @@ class TestStackedFitters:
         rss = [np.sum((y[5] - X[5] @ beta) ** 2) for beta in (
             np.asarray(fits[5].coefficients), np.linalg.lstsq(X[5], y[5], rcond=None)[0])]
         assert rss[0] == pytest.approx(rss[1], rel=1e-3)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ols_non_finite_outcome_fails_alone(self):
+        X, y, spec = ols_stack_fixture()
+        clean = ols(X, y, spec)
+        y[2, 7] = -np.inf
+        fits = ols(X, y, spec)
+        assert str(fits[2]) == "outcome 'y' is not finite"
+        assert isinstance(fits[4], RankDeficiencyError)
+        for i in (0, 1, 3, 5):
+            np.testing.assert_allclose(fits[i].coefficients, clean[i].coefficients,
+                                       rtol=1e-12)
+            np.testing.assert_allclose(fits[i].standard_errors,
+                                       clean[i].standard_errors, rtol=1e-12)
 
     def test_too_few_rows_fail_every_problem(self):
         X, y, spec = ols_stack_fixture()

@@ -191,7 +191,7 @@ class TestEnumeration:
 
         monkeypatch.setattr(ident, "d_separated", counted)
         assert enumerate_adjustment_sets(q) == []
-        assert not any(r.in_some_valid_adjustment_set for r in classify_roles(q).roles.values())
+        assert not any(r.in_some_valid_adjustment_set for r in classify_roles(q).values())
         assert len(calls) <= len(q.candidates) + 1
 
     def test_isolated_node_changes_no_verdict(self):
@@ -285,7 +285,7 @@ class TestRoles:
             roles = classify_roles(
                 CausalQuery(dag, exposure, outcome, frozenset(nodes) - {exposure})
             )
-            for node, role in roles.roles.items():
+            for node, role in roles.items():
                 if role.mediator:
                     assert role.descendant_of_exposure
                 if role.in_some_valid_adjustment_set:
@@ -362,7 +362,7 @@ class TestPathOracle:
         listed = enumerate_adjustment_sets(q)
         assert sorted(map(sorted, listed)) == sorted(map(sorted, valid))
         union = frozenset().union(*valid)
-        for v, role in classify_roles(q).roles.items():
+        for v, role in classify_roles(q).items():
             assert role.in_some_valid_adjustment_set == (v in union), v
         minimal = [s for s in valid if not any(t < s for t in valid)]
         listed = enumerate_adjustment_sets(q, minimal_only=True)
@@ -376,5 +376,5 @@ class TestPathOracle:
         for p in all_paths(q.dag, q.exposure, q.outcome):
             if all(p.forward):
                 interiors.update(p.nodes[1:-1])
-        for v, role in classify_roles(q).roles.items():
+        for v, role in classify_roles(q).items():
             assert role.mediator == (v in interiors), v

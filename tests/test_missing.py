@@ -130,11 +130,11 @@ class TestImpliedIndependencies:
         statements = {
             s.indicator: s for s in implied_independencies(mdag_fixture("fig5"))
         }
-        assert statements["C_L2"].independent == ("L2", "Y")
+        assert statements["C_L2"].independent_of == ("L2", "Y")
         assert statements["C_L2"].given == ("A", "L1")
-        assert statements["C_A"].independent == ("A", "Y")
+        assert statements["C_A"].independent_of == ("A", "Y")
         assert statements["C_A"].given == ("L1", "L2")
-        assert statements["C_Y"].independent == ("Y",)
+        assert statements["C_Y"].independent_of == ("Y",)
         assert statements["C_Y"].given == ("A", "L1", "L2")
 
     def test_disconnected_indicator_independent_of_everything(self):
@@ -142,14 +142,14 @@ class TestImpliedIndependencies:
         (statement,) = implied_independencies(m)
         assert statement.indicator == "C_Y"
         assert statement.given == ()
-        assert statement.independent == ("A", "L", "Y")
+        assert statement.independent_of == ("A", "L", "Y")
 
     def test_statements_hold_jointly_under_d_separation(self):
         m = mdag_fixture("fig5")
         for s in implied_independencies(m):
-            if s.independent:
+            if s.independent_of:
                 assert d_separated(
-                    m.base, {s.indicator}, set(s.independent), set(s.given)
+                    m.base, {s.indicator}, set(s.independent_of), set(s.given)
                 )
 
 

@@ -12,7 +12,6 @@ from causalreg import (
     ATE,
     LOG_MOR,
     Dataset,
-    Intervention,
     ModelParseError,
     SimulationError,
     dag_fixture,
@@ -309,35 +308,35 @@ class TestSimulateBlock:
 
 class TestIntervene:
     def test_exposure_column_constant(self):
-        m = intervene(model_fixture("setup1"), Intervention("A", 1.0))
+        m = intervene(model_fixture("setup1"), "A", 1.0)
         data = simulate(m, 200, seed=4)
         assert np.array_equal(data.column("A"), np.ones(200))
         assert m.spec_for("A").render() == "A ~ constant(1)"
 
     def test_setup6_mediator_law_unchanged(self):
-        m = intervene(model_fixture("setup6"), Intervention("A", 0.0))
+        m = intervene(model_fixture("setup6"), "A", 0.0)
         assert m.spec_for("M").params[0].render() == "plogis(0.5 - 2*A)"
         data = simulate(m, 400_000, seed=21)
         assert data.column("M").mean() == pytest.approx(expit(0.5), abs=0.005)
 
     def test_second_intervention_on_a_node_rejected(self):
-        once = intervene(model_fixture("setup1"), Intervention("A", 1.0))
+        once = intervene(model_fixture("setup1"), "A", 1.0)
         for second in (0.0, 0.5):  # 0.5 would also break A's 0/1 support
             with pytest.raises(ValueError, match="'A' already has an intervention"):
-                intervene(once, Intervention("A", second))
+                intervene(once, "A", second)
 
     def test_unknown_node(self):
         with pytest.raises(ModelParseError, match="unknown node"):
-            intervene(model_fixture("setup1"), Intervention("B", 1.0))
+            intervene(model_fixture("setup1"), "B", 1.0)
 
     def test_bernoulli_support_enforced(self):
         with pytest.raises(ValueError, match="must be 0 or 1"):
-            intervene(model_fixture("setup1"), Intervention("A", 0.5))
+            intervene(model_fixture("setup1"), "A", 0.5)
 
     def test_non_descendants_unchanged(self):
         m = model_fixture("setup1")
         base = simulate(m, 100_000, seed=33)
-        arm = simulate(intervene(m, Intervention("A", 1.0)), 100_000, seed=33)
+        arm = simulate(intervene(m, "A", 1.0), 100_000, seed=33)
         assert np.array_equal(base.column("L"), arm.column("L"))
         ks = ks_2samp(base.column("L"), arm.column("L"))
         assert ks.pvalue > 0.01

@@ -1,6 +1,6 @@
 import json
 from concurrent.futures import Future
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -51,8 +51,26 @@ class TestConfig:
 
     def test_round_trip_through_json(self):
         config = default_study_config(replications=77, sample_size=200, seed=9)
-        doc = json.loads(json.dumps(config.as_dict()))
+        doc = json.loads(json.dumps(asdict(config)))
         assert StudyConfig.from_dict(doc) == config
+        # Every optional field omitted: the dataclass defaults fill them in.
+        bare = {"id": "bare", "model": "setup1", "target": "intercept",
+                "design": {"outcome": "Y"}}
+        config = StudyConfig.from_dict({"scenarios": [bare]})
+        assert config == StudyConfig((Scenario("bare", "setup1", DesignSpec("Y"),
+                                               "intercept"),))
+        assert StudyConfig.from_dict(json.loads(json.dumps(asdict(config)))) == config
+        assert asdict(config)["scenarios"][0]["label"] == "bare"
+        # A null label is the id, in the config and in the results.
+        scenario = {"id": "s", "label": None, "model": "setup1", "target": "A",
+                    "true_value": 1, "design": {"outcome": "Y", "covariates": ["A", "L"]}}
+        config = StudyConfig.from_dict(
+            {"replications": 2, "sample_size": 50, "scenarios": [scenario]}
+        )
+        assert StudyConfig.from_dict(json.loads(json.dumps(asdict(config)))) == config
+        doc = run_study(config).as_dict()
+        assert doc["config"]["scenarios"][0]["label"] == "s"
+        assert doc["scenarios"][0]["label"] == "s"
 
     def test_target_must_be_a_design_column(self):
         with pytest.raises(ValueError, match="not a design column"):
