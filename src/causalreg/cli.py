@@ -5,6 +5,10 @@ Exit codes follow one convention across subcommands: 0 success,
 adjustment set, complete-case analysis invalid, measure not
 collapsible), 3 numerical failure.  stdout carries only the report; diagnostics go
 to stderr.
+
+``analyze`` and ``missingness`` run on the pure-Python graph layer and
+never load numpy or scipy.  ``collapse``, ``simulate``, ``fit`` and
+``study`` import their numeric modules inside the command.
 """
 
 from __future__ import annotations
@@ -18,35 +22,10 @@ from pathlib import Path
 from typing import Sequence
 
 from . import fixtures
-from .estimators import (
-    DesignSpec,
-    FitError,
-    NotBinaryError,
-    logistic_fit,
-    noncompliance_estimands,
-    ols_fit,
-    positivity_check,
-)
-from .graph import GraphError, hidden_nodes, parse_dag
+from ._shared import MEASURES, NumericalError
+from .graph import hidden_nodes, parse_dag
 from .ident import CausalQuery, backdoor_paths, classify_roles, enumerate_adjustment_sets
 from .missing import missingness_report, parse_mdag
-from .scm import (
-    Dataset,
-    ModelParseError,
-    SimulationError,
-    intervene,
-    parse_model,
-    simulate,
-)
-from .study import (
-    StudyConfig,
-    StudyError,
-    default_study_config,
-    estimates_csv,
-    render_bias_table,
-    run_study,
-)
-from .tables import MEASURES, TableError, effect_measure, load_table_csv, render_table
 
 __all__ = ["main", "validate_report", "SCHEMA_VERSION"]
 
@@ -133,7 +112,8 @@ def _split_csv_list(arg: str | None) -> tuple[str, ...]:
     return tuple(s.strip() for s in arg.split(",") if s.strip())
 
 
-def _default_seed() -> int:
+def _seed_variable() -> int:
+    """``$CAUSALREG_SEED`` as an integer; 0 when it is unset or empty."""
     raw = os.environ.get(SEED_ENV_VAR)
     if not raw:
         return 0
@@ -141,6 +121,14 @@ def _default_seed() -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"{SEED_ENV_VAR}={raw!r} is not an integer seed") from None
+
+
+def _default_seed() -> int:
+    """``simulate``'s seed when ``--seed`` is not given."""
+    seed = _seed_variable()
+    if seed < 0:
+        raise ValueError(f"{SEED_ENV_VAR}={seed}: seed must be non-negative")
+    return seed
 
 
 # --- subcommands -------------------------------------------------------------
@@ -206,6 +194,8 @@ def _cmd_missingness(args: argparse.Namespace) -> int:
 
 
 def _cmd_collapse(args: argparse.Namespace) -> int:
+    from .tables import effect_measure, load_table_csv, render_table
+
     table = load_table_csv(_read_source(args.table, "table"))
     report = effect_measure(table, args.measure, tolerance=args.tolerance)
     if args.format == "text":
@@ -216,6 +206,8 @@ def _cmd_collapse(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .scm import intervene, parse_model, simulate
+
     model = parse_model(_read_source(args.model, "model"))
     for spec in _split_csv_list(args.intervene):
         if "=" not in spec:
@@ -227,23 +219,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise ValueError(f"--intervene {spec}: {raw!r} is not a number") from None
         model = intervene(model, node.strip(), value)
     seed = _default_seed() if args.seed is None else args.seed
+    if seed < 0:
+        raise ValueError(f"--seed {seed}: seed must be non-negative")
     data = simulate(model, args.n, seed)
     _write(data.to_csv(), args.output)
     return EXIT_OK
 
 
-def _build_design(args: argparse.Namespace) -> DesignSpec:
-    return DesignSpec(
-        outcome=args.outcome,
-        covariates=_split_csv_list(args.covariates),
-        interactions=tuple(
-            tuple(pair.split(":")) for pair in _split_csv_list(args.interactions)
-        ),
-        squares=_split_csv_list(args.squares),
-    )
-
-
 def _cmd_fit(args: argparse.Namespace) -> int:
+    from .estimators import (
+        DesignSpec,
+        NotBinaryError,
+        logistic_fit,
+        noncompliance_estimands,
+        ols_fit,
+        positivity_check,
+    )
+    from .scm import Dataset
+
     data = Dataset.from_csv(Path(args.data).read_text())
     try:
         if args.positivity:
@@ -253,7 +246,14 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         elif args.noncompliance:
             kind, body = "noncompliance", asdict(noncompliance_estimands(data))
         else:
-            design = _build_design(args)
+            design = DesignSpec(
+                outcome=args.outcome,
+                covariates=_split_csv_list(args.covariates),
+                interactions=tuple(
+                    tuple(pair.split(":")) for pair in _split_csv_list(args.interactions)
+                ),
+                squares=_split_csv_list(args.squares),
+            )
             fitter = logistic_fit if args.family == "logistic" else ols_fit
             kind, body = "fit", {
                 "family": args.family,
@@ -267,13 +267,22 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
+    from .study import (
+        StudyConfig,
+        default_study_config,
+        estimates_csv,
+        render_bias_table,
+        run_study,
+    )
+
     # Explicit flags override whatever the config carries.
     flags = {"replications": args.runs, "sample_size": args.n, "seed": args.seed,
              "oracle_n": args.oracle_n}
     flags = {key: value for key, value in flags.items() if value is not None}
     if args.config == "default":
         if args.seed is None:
-            flags["seed"] = _default_seed()
+            # StudyConfig rejects a negative seed itself, naming the field.
+            flags["seed"] = _seed_variable()
         config = default_study_config(**flags)
     else:
         config = StudyConfig.from_dict(json.loads(Path(args.config).read_text()))
@@ -384,11 +393,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (GraphError, ModelParseError, TableError, OSError,
-            KeyError, ValueError) as exc:
+    # GraphError, ModelParseError and TableError are ValueErrors.
+    except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (FitError, SimulationError, StudyError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

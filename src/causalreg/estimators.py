@@ -9,6 +9,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
+from ._shared import NumericalError
 from .scm import Dataset
 
 __all__ = [
@@ -46,7 +47,7 @@ RANK_MARGIN = 100.0
 QR_ROW_BLOCK = 1 << 16
 
 
-class FitError(RuntimeError):
+class FitError(NumericalError):
     """A regression fit could not be completed."""
 
 

@@ -3,14 +3,20 @@
 Everything here is addressable by name from the CLI (``--dag fig4c``,
 ``--model setup5``, ``--table table1``) and from the test suite.  All
 normal nodes use unit standard deviation unless written otherwise.
+The registries are text, and this module imports only the graph layer:
+``model_fixture`` and ``table_fixture`` load the numeric layer on first call.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .graph import Dag, parse_dag
 from .missing import MDag, parse_mdag
-from .scm import StructuralModel, parse_model
-from .tables import StratifiedTable, load_table_csv
+
+if TYPE_CHECKING:
+    from .scm import StructuralModel
+    from .tables import StratifiedTable
 
 __all__ = [
     "DAG_FIXTURES",
@@ -182,8 +188,12 @@ def mdag_fixture(name: str) -> MDag:
 
 
 def model_fixture(name: str) -> StructuralModel:
+    from .scm import parse_model
+
     return parse_model(_text(MODEL_FIXTURES, "model", name))
 
 
 def table_fixture(name: str) -> StratifiedTable:
+    from .tables import load_table_csv
+
     return load_table_csv(_text(TABLE_FIXTURES, "table", name))

@@ -23,6 +23,7 @@ import numpy as np
 from scipy.special import expit
 
 from ._readcsv import finite_cell, read_csv
+from ._shared import NumericalError
 from .graph import Dag
 
 __all__ = [
@@ -65,7 +66,7 @@ class ModelParseError(ValueError):
         self.col = col
 
 
-class SimulationError(RuntimeError):
+class SimulationError(NumericalError):
     """A draw produced an invalid parameter; names the node and row.
 
     ``rep`` is the replication index of the failed draw, when known.

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.special import expit
 
 from ._blas import pin_blas_threads, single_blas_thread
+from ._shared import NumericalError
 from .estimators import DesignSpec, FitError, irls, ols, stacked_design
 from .fixtures import MODEL_FIXTURES, model_fixture
 from .scm import (
@@ -57,7 +58,7 @@ MAX_FAILURE_FRACTION = 0.01
 MAX_CHUNK_ROWS = 50_000
 
 
-class StudyError(RuntimeError):
+class StudyError(NumericalError):
     pass
 
 

@@ -9,6 +9,7 @@ from typing import Iterable
 import numpy as np
 
 from ._readcsv import finite_cell, read_csv
+from ._shared import MEASURES
 
 __all__ = [
     "StratifiedTable",
@@ -23,8 +24,6 @@ __all__ = [
     "load_table_csv",
     "render_table",
 ]
-
-MEASURES = ("risk_difference", "risk_ratio", "odds_ratio")
 
 DEFAULT_TOLERANCE = 1e-9
 

@@ -219,6 +219,20 @@ class TestSimulate:
         assert "CAUSALREG_SEED" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags, seed_variable, message", [
+        (("--seed", "-1"), None, "--seed -1: seed must be non-negative"),
+        ((), "-2", "CAUSALREG_SEED=-2: seed must be non-negative"),
+    ], ids=["seed_flag", "seed_variable"])
+    def test_negative_seed_names_its_source(
+        self, capsys, monkeypatch, flags, seed_variable, message
+    ):
+        monkeypatch.delenv("CAUSALREG_SEED", raising=False)
+        if seed_variable is not None:
+            monkeypatch.setenv("CAUSALREG_SEED", seed_variable)
+        code, out, err = run_cli(capsys, "simulate", "--model", "setup1", "--n", "3",
+                                 *flags)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestFit:
     @pytest.fixture
