@@ -5,105 +5,26 @@ back-door criterion, missingness graphs, collapsibility arithmetic)
 with a structural simulation engine and a replicated bias study that
 demonstrates each failure mode empirically.
 
-``import causalreg`` loads no submodule.  Each name below loads its
-module on first lookup (PEP 562), so the graph layer (``graph``,
-``ident``, ``missing``, ``fixtures``) runs without numpy or scipy, and
-``scm``, ``estimators``, ``study`` and ``tables`` load only when used.
+``import causalreg`` loads no submodule.  The package's names are its
+submodules and the names in each searched submodule's ``__all__``.  A
+lookup (PEP 562) answers a submodule name with the submodule, and
+otherwise searches the ``__all__`` lists in layer order, importing
+each module only as the search reaches it: first the graph layer
+(``graph``, ``ident``, ``missing``, ``fixtures``), which runs without
+numpy or scipy, then ``tables``, ``scm``, ``estimators`` and ``study``.
 """
 
-import importlib
+import importlib.util
 
-_EXPORTS: dict[str, tuple[str, ...]] = {
-    "estimators": (
-        "DesignSpec",
-        "FitError",
-        "FitResult",
-        "NoncomplianceEstimands",
-        "PositivityReport",
-        "logistic_fit",
-        "noncompliance_estimands",
-        "ols_fit",
-        "positivity_check",
-    ),
-    "fixtures": ("dag_fixture", "mdag_fixture", "model_fixture", "table_fixture"),
-    "graph": (
-        "CycleError",
-        "Dag",
-        "DagParseError",
-        "GraphError",
-        "Path",
-        "UnknownNodeError",
-        "all_paths",
-        "ancestors",
-        "d_separated",
-        "d_separated_by_enumeration",
-        "descendants",
-        "parse_dag",
-        "path_blocked",
-        "serialize_dag",
-    ),
-    "ident": (
-        "CausalQuery",
-        "backdoor_paths",
-        "classify_roles",
-        "enumerate_adjustment_sets",
-        "satisfies_backdoor",
-    ),
-    "missing": (
-        "G_MAR",
-        "G_MCAR",
-        "G_MNAR",
-        "MDag",
-        "MechanismVerdict",
-        "classify_mechanism",
-        "complete_case_valid",
-        "implied_independencies",
-        "missingness_report",
-        "parse_mdag",
-    ),
-    "scm": (
-        "ATE",
-        "LOG_MOR",
-        "Dataset",
-        "EffectEstimate",
-        "Expr",
-        "ModelParseError",
-        "SimulationError",
-        "StructuralModel",
-        "intervene",
-        "parse_expr",
-        "parse_model",
-        "simulate",
-        "simulate_block",
-        "true_effect",
-    ),
-    "study": (
-        "BiasReport",
-        "Scenario",
-        "StudyConfig",
-        "StudyError",
-        "default_study_config",
-        "render_bias_table",
-        "run_scenario",
-        "run_study",
-    ),
-    "tables": (
-        "MeasureReport",
-        "StratifiedTable",
-        "effect_measure",
-        "load_table_csv",
-        "marginalize",
-        "risk",
-    ),
-}
-
-# Public name -> the submodule that defines it.
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-
-# The submodules are names too, as the package bound them when it imported each.
-__all__ = [*_EXPORTS, *_HOME]
+# The search order: a module loads only when no module before it has the name.
+_SEARCHED = ("graph", "ident", "missing", "fixtures", "tables", "scm", "estimators", "study")
 
 __version__ = "0.1.0"
+
+
+def _searched_modules():
+    for module in _SEARCHED:
+        yield importlib.import_module(f"{__name__}.{module}")
 
 
 def __getattr__(name: str):
@@ -111,14 +32,19 @@ def __getattr__(name: str):
     # submodule's current attribute, so a function replaced there (by a
     # test's monkeypatch, or a tracer that restores it later) is what
     # ``causalreg.<name>`` returns, now and after it is put back.
-    if name in _EXPORTS:
-        return importlib.import_module(f"{__name__}.{name}")
-    try:
-        module = _HOME[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    if name == "__all__":
+        return [*_SEARCHED, *(n for module in _searched_modules() for n in module.__all__)]
+    # A private name, or one no import could name, fails at once; a
+    # submodule name (``from causalreg import cli`` asks for one first)
+    # must not import the numeric layer.
+    if name.isidentifier() and not name.startswith("_"):
+        if importlib.util.find_spec(f"{__name__}.{name}") is not None:
+            return importlib.import_module(f"{__name__}.{name}")
+        for module in _searched_modules():
+            if name in module.__all__:
+                return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+    return sorted(set(globals()) | set(__getattr__("__all__")))

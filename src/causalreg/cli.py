@@ -112,20 +112,15 @@ def _split_csv_list(arg: str | None) -> tuple[str, ...]:
     return tuple(s.strip() for s in arg.split(",") if s.strip())
 
 
-def _seed_variable() -> int:
-    """``$CAUSALREG_SEED`` as an integer; 0 when it is unset or empty."""
+def _default_seed() -> int:
+    """The seed when ``--seed`` is not given: ``$CAUSALREG_SEED``, else 0."""
     raw = os.environ.get(SEED_ENV_VAR)
     if not raw:
         return 0
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise ValueError(f"{SEED_ENV_VAR}={raw!r} is not an integer seed") from None
-
-
-def _default_seed() -> int:
-    """``simulate``'s seed when ``--seed`` is not given."""
-    seed = _seed_variable()
     if seed < 0:
         raise ValueError(f"{SEED_ENV_VAR}={seed}: seed must be non-negative")
     return seed
@@ -281,8 +276,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
     flags = {key: value for key, value in flags.items() if value is not None}
     if args.config == "default":
         if args.seed is None:
-            # StudyConfig rejects a negative seed itself, naming the field.
-            flags["seed"] = _seed_variable()
+            flags["seed"] = _default_seed()
         config = default_study_config(**flags)
     else:
         config = StudyConfig.from_dict(json.loads(Path(args.config).read_text()))

@@ -18,7 +18,6 @@ __all__ = [
     "ZeroMarginError",
     "MEASURES",
     "risk",
-    "marginal_risk",
     "marginalize",
     "effect_measure",
     "load_table_csv",
@@ -137,11 +136,6 @@ def risk(table: StratifiedTable, stratum: str | int, a: int) -> float:
     return float(cell[1] / denom)
 
 
-def marginal_risk(table: StratifiedTable, a: int) -> float:
-    """P(Y=1 | A=a) after summing over strata."""
-    return risk(marginalize(table), 0, a)
-
-
 def marginalize(table: StratifiedTable) -> StratifiedTable:
     """Collapse strata into a single 2x2 table by summing joints."""
     collapsed = table.probs.sum(axis=0, keepdims=True)
@@ -188,8 +182,9 @@ def effect_measure(
         )
         for k in range(table.n_strata)
     )
+    collapsed = marginalize(table)
     marginal = _measure_value(
-        measure, marginal_risk(table, 1), marginal_risk(table, 0), "marginal table"
+        measure, risk(collapsed, 0, 1), risk(collapsed, 0, 0), "marginal table"
     )
     tol = tolerance * max(1.0, abs(marginal))
     strict = all(abs(v - marginal) <= tol for v in stratum_values)
@@ -251,21 +246,20 @@ def load_table_csv(source: str) -> StratifiedTable:
 def render_table(table: StratifiedTable, reports: Iterable[MeasureReport]) -> str:
     """Plain-text rendering: joints, risks, and one row per measure."""
     cols = list(table.labels) + ["marginal"]
-    tables = [table.probs[k] for k in range(table.n_strata)]
-    tables.append(marginalize(table).probs[0])
+    # One (table, stratum) pair per column: each stratum, then the collapsed table.
+    blocks = [(table, k) for k in range(table.n_strata)] + [(marginalize(table), 0)]
     lines: list[str] = []
     header = " " * 10 + "".join(f"{c:>16}" for c in cols)
     lines.append(header)
     lines.append(" " * 10 + "".join(f"{'A=1':>8}{'A=0':>8}" for _ in cols))
     for y in (1, 0):
         row = f"Y={y}".ljust(10)
-        for block in tables:
-            row += f"{block[1, y]:>8.3f}{block[0, y]:>8.3f}"
+        for t, k in blocks:
+            row += f"{t.probs[k, 1, y]:>8.3f}{t.probs[k, 0, y]:>8.3f}"
         lines.append(row)
     risk_row = "risk".ljust(10)
-    for k, block in enumerate(tables):
-        denom1, denom0 = block[1].sum(), block[0].sum()
-        risk_row += f"{block[1, 1] / denom1:>8.2f}{block[0, 1] / denom0:>8.2f}"
+    for t, k in blocks:
+        risk_row += f"{risk(t, k, 1):>8.2f}{risk(t, k, 0):>8.2f}"
     lines.append(risk_row)
     for rep in reports:
         row = rep.measure.replace("_", " ").ljust(16)

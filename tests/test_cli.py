@@ -455,7 +455,7 @@ class TestStudy:
     @pytest.mark.parametrize("flags, seed_variable, message", [
         (("--seed", "-3"), None, "seed must be non-negative"),
         (("--oracle-n", "5"), None, "oracle_n must be at least 100000"),
-        ((), "-3", "seed must be non-negative"),
+        ((), "-3", "CAUSALREG_SEED=-3: seed must be non-negative"),
     ], ids=["seed_flag", "oracle_n_flag", "seed_variable"])
     def test_range_error_names_field_before_any_job(
         self, capsys, monkeypatch, flags, seed_variable, message

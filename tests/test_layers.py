@@ -43,34 +43,43 @@ PACKAGE_NAMES = (
     "estimators", "fixtures", "graph", "ident", "missing", "scm", "study", "tables",
 )
 
+# Runs the statement in argv[1], then the command line on the rest, if any.
 _PROBE = """
 import contextlib, io, json, sys
 import causalreg
+exec(sys.argv[1])
 code = None
-if sys.argv[1:]:
+if sys.argv[2:]:
     from causalreg import cli
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(sys.argv[1:])
+        code = cli.main(sys.argv[2:])
 loaded = sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
 print(json.dumps({"code": code, "loaded": loaded}))
 """
 
 
-def _fresh_process(*argv: str) -> dict:
+def _fresh_process(statement: str, *argv: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
+    out = subprocess.run([sys.executable, "-c", _PROBE, statement, *argv], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
     return json.loads(out.stdout)
 
 
-@pytest.mark.parametrize("argv, code, loaded", [
-    ((), None, []),
-    (("analyze", "--dag", "fig1a", "--exposure", "A", "--outcome", "Y"), 0, []),
-    (("missingness", "--mdag", "fig5", "--exposure", "A", "--outcome", "Y"), 0, []),
-    (("collapse", "--table", "table1", "--measure", "odds_ratio"), 2, ["numpy"]),
-], ids=["import", "analyze", "missingness", "collapse"])
-def test_graph_commands_load_no_numeric_library(argv, code, loaded):
-    assert _fresh_process(*argv) == {"code": code, "loaded": loaded}
+@pytest.mark.parametrize("statement, argv, code, loaded", [
+    ("pass", (), None, []),
+    ("pass", ("analyze", "--dag", "fig1a", "--exposure", "A", "--outcome", "Y"), 0, []),
+    ("pass", ("missingness", "--mdag", "fig5", "--exposure", "A", "--outcome", "Y"), 0, []),
+    ("pass", ("collapse", "--table", "table1", "--measure", "odds_ratio"), 2, ["numpy"]),
+    # A lookup imports the searched modules up to the one that exports the name.
+    ("from causalreg import cli", (), None, []),
+    ("causalreg.Dag", (), None, []),
+    ("causalreg.hidden_nodes", (), None, []),
+    ("causalreg.effect_measure", (), None, ["numpy"]),
+    ("assert not hasattr(causalreg, '_no_such_name')", (), None, []),
+], ids=["import", "analyze", "missingness", "collapse", "from_import_cli", "Dag",
+        "hidden_nodes", "effect_measure", "private_name"])
+def test_graph_commands_load_no_numeric_library(statement, argv, code, loaded):
+    assert _fresh_process(statement, *argv) == {"code": code, "loaded": loaded}
 
 
 def test_every_package_name_resolves():
