@@ -201,7 +201,7 @@ def _cmd_collapse(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .scm import intervene, parse_model, simulate
+    from .scm import check_block_size, intervene, parse_model, simulate
 
     model = parse_model(_read_source(args.model, "model"))
     for spec in _split_csv_list(args.intervene):
@@ -216,6 +216,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     seed = _default_seed() if args.seed is None else args.seed
     if seed < 0:
         raise ValueError(f"--seed {seed}: seed must be non-negative")
+    check_block_size(model, args.n, f"--n {args.n}")
     data = simulate(model, args.n, seed)
     _write(data.to_csv(), args.output)
     return EXIT_OK
@@ -393,6 +394,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INPUT
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    # An allocation that the size checks did not foresee, here or in a
+    # study's pool worker (the pool re-raises it here).
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"numerical failure: out of memory{detail}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -51,6 +51,11 @@ LOG_MOR = "log_MOR"
 ESTIMANDS = (ATE, LOG_MOR)
 
 ORACLE_MIN_N = 100_000
+# Bytes of node values that one simulation may hold: rows × nodes × 8, where
+# the oracle's rows are n_oracle for each of its two arms.  Fixed, not read
+# from the machine, so that a request gets the same verdict everywhere; it
+# admits a 10^6-row oracle of a 33-node model.
+MAX_BLOCK_BYTES = 512 * 2**20
 
 
 class ModelParseError(ValueError):
@@ -102,6 +107,15 @@ def _fmt(x: float) -> str:
     return repr(int(x)) if float(x).is_integer() and abs(x) < 1e15 else repr(x)
 
 
+def _into(op: np.ufunc, out, x):
+    """``op(out, x)``, written into ``out`` when it is an array that already
+    has the result's shape; ``out`` must be a scalar or an array that no one
+    else holds."""
+    if isinstance(out, np.ndarray) and np.broadcast_shapes(out.shape, np.shape(x)) == out.shape:
+        return op(out, x, out=out)
+    return op(out, x)
+
+
 @dataclass(frozen=True)
 class Expr:
     """A sum of terms, optionally passed through the logistic function."""
@@ -113,20 +127,29 @@ class Expr:
         return frozenset(n for t in self.terms for n in t.names)
 
     def evaluate(
-        self, columns: dict[str, np.ndarray], shape: int | tuple[int, ...]
-    ) -> np.ndarray:
-        # Term by term, in the order the model states them; a product
-        # starts from its coefficient.  (c*x is the same float as x*c.)
-        total = np.zeros(shape)
+        self, columns: dict[str, np.ndarray], shape: int | tuple[int, ...] | None = None
+    ) -> np.ndarray | np.float64:
+        """The value over the columns, kept only over the axes it varies on:
+        a scalar until the first term that references a column whose value
+        is an array, then the broadcast shape of the terms.  With ``shape``
+        it is broadcast to that shape (a read-only view)."""
+        # Term by term, in the order the model states them, from 0.0; a
+        # product starts from its coefficient.  IEEE addition and
+        # multiplication commute, so whichever operand holds the sum, every
+        # float is the one that a sum over np.zeros(shape) gives.
+        total = 0.0
         for t in self.terms:
             if not t.names:
-                total += t.coef
+                total = _into(np.add, total, t.coef)
                 continue
             value = t.coef * columns[t.names[0]]
             for name in t.names[1:]:
-                value *= columns[name]
-            total += value
-        return expit(total, out=total) if self.logistic else total
+                value = _into(np.multiply, value, columns[name])
+            total = (_into(np.add, total, value) if isinstance(total, np.ndarray)
+                     else _into(np.add, value, total))
+        if self.logistic:
+            total = expit(total, out=total) if isinstance(total, np.ndarray) else expit(total)
+        return total if shape is None else np.broadcast_to(total, shape)
 
     def render(self) -> str:
         if not self.terms:
@@ -423,47 +446,67 @@ def _checks(
     spec: NodeSpec, params: list[np.ndarray], draws: np.ndarray
 ) -> list[tuple[np.ndarray, str]]:
     """(mask of invalid values, what is invalid) for each range check of a
-    drawn node, in the order they apply."""
+    drawn node, in the order they apply.  (A comparison with NaN is false,
+    so a range test also flags NaN, and its bounds flag the infinities.)"""
     if spec.dist == "normal":
         mean, sd = params
         return [
             (~np.isfinite(mean), "non-finite mean"),
-            (~np.isfinite(sd) | (sd < 0), "invalid sd"),
+            (~((sd >= 0) & (sd < np.inf)), "invalid sd"),
             (~np.isfinite(draws), "non-finite draw"),
         ]
     if spec.dist == "bernoulli":
         (prob,) = params
-        return [(~np.isfinite(prob) | (prob < 0) | (prob > 1),
-                 "probability outside [0, 1]")]
+        return [(~((prob >= 0) & (prob <= 1)), "probability outside [0, 1]")]
     return []
 
 
-def simulate_block(
-    model: StructuralModel, n: int, seed: int, reps: range
-) -> dict[str, np.ndarray]:
-    """Draw ``n`` rows for each replication in ``reps``: one (len(reps), n)
-    array per node, in declaration order.
+def check_block_size(model: StructuralModel, rows: int, what: str) -> None:
+    """Refuse, naming ``what``, a simulation of ``rows`` rows of ``model``
+    whose node values would exceed :data:`MAX_BLOCK_BYTES`."""
+    size = rows * len(model.specs) * 8
+    if size > MAX_BLOCK_BYTES:
+        raise ValueError(
+            f"{what}: {rows} rows of {len(model.specs)} nodes need {size} bytes, "
+            f"above the simulation budget of {MAX_BLOCK_BYTES} bytes"
+        )
 
-    Row ``i`` of every array is replication ``reps[i]``, drawn from the
-    substreams keyed by (seed, node, reps[i]), so it does not depend on
-    which other replications share the block.  Each node is evaluated,
-    drawn and then range-checked once for the whole block.  A failed
-    check raises the error of the lowest failing replication (its first
-    failing node, then row), as drawing the replications one by one
-    would.
+
+def _sweep(
+    model: StructuralModel,
+    n: int,
+    seed: int,
+    reps: range,
+    arms: tuple[str, np.ndarray] | None = None,
+) -> dict[str, np.ndarray | np.float64]:
+    """The node loop of :func:`simulate_block` and :func:`true_effect`.
+
+    The block has lanes along its first axis: one per replication in
+    ``reps``, or with ``arms=(node, column)`` one per row of ``column``,
+    whose value ``node`` takes there instead of drawing from its law; the
+    arms share one replication.  A node's raw draws are (len(reps), n).
+    Every value is kept only over the axes it varies on: a constant law
+    stays a scalar, and only a descendant of the arm node gets the lane
+    axis, through broadcasting.  A failed check raises the error of the
+    lowest failing lane (its first failing node, then row), as sweeping
+    the lanes one by one would.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if seed < 0 or min(reps, default=0) < 0:
         raise ValueError("seed and rep must be non-negative")
     reps = list(reps)
-    columns: dict[str, np.ndarray] = {}
+    lanes = len(reps) if arms is None else len(arms[1])
+    columns: dict[str, np.ndarray | np.float64] = {}
     failure: SimulationError | None = None
     # A value that overflows or is undefined is a range check's verdict,
     # not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for spec in model.specs:
-            params = [p.evaluate(columns, (len(reps), n)) for p in spec.params]
+            if arms is not None and spec.name == arms[0]:
+                columns[spec.name] = arms[1]
+                continue
+            params = [p.evaluate(columns) for p in spec.params]
             if spec.dist == "constant":
                 columns[spec.name] = params[0]
                 continue
@@ -476,29 +519,59 @@ def simulate_block(
                 else:
                     rng.random(n, out=draws[i])
             if spec.dist == "normal":
-                draws *= params[1]
-                draws += params[0]
+                draws = _into(np.add, _into(np.multiply, draws, params[1]), params[0])
                 columns[spec.name] = draws
             else:
                 columns[spec.name] = (draws < params[0]).astype(float)
             checks = _checks(spec, params, draws)
-            failed = np.zeros(len(reps), dtype=bool)
+            failed = np.zeros(lanes, dtype=bool)
             for bad, _ in checks:
-                failed |= bad.any(axis=1)
+                failed |= bad.any(axis=-1) if np.ndim(bad) else bad
             if failed.any():
-                # Replications from the first failure on are dropped: only
-                # a lower one can fail at a later node and win.
                 k = int(np.argmax(failed))
-                what, row = next((what, int(np.argmax(bad[k]))) for bad, what in checks
-                                 if bad[k].any())
+                for bad, what in checks:
+                    row = np.broadcast_to(bad, (lanes, n))[k]
+                    if row.any():
+                        break
+                # A lane's replication, broadcast like its draws.
+                rep = reps[k] if len(reps) == lanes else reps[0]
                 failure = SimulationError(
-                    f"node {spec.name!r}: {what} at row {row}", rep=reps[k]
+                    f"node {spec.name!r}: {what} at row {int(np.argmax(row))}", rep=rep
                 )
-                reps = reps[:k]
-                columns = {name: col[:k] for name, col in columns.items()}
+                if k == 0:  # no lane can win over lane 0
+                    break
+                # Lanes from the first failure on are dropped: only a lower
+                # one can fail at a later node and win.
+                lanes, reps = k, reps[:k]
+                columns = {name: col[:k] if np.ndim(col) else col
+                           for name, col in columns.items()}
     if failure is not None:
         raise failure
     return columns
+
+
+def simulate_block(
+    model: StructuralModel, n: int, seed: int, reps: range
+) -> dict[str, np.ndarray]:
+    """Draw ``n`` rows for each replication in ``reps``: one (len(reps), n)
+    array per node, in declaration order.
+
+    Row ``i`` of every array is replication ``reps[i]``, drawn from the
+    substreams keyed by (seed, node, reps[i]), so it does not depend on
+    which other replications share the block.  Each node is evaluated,
+    drawn and then range-checked once for the whole block, and a constant
+    (an intervention, or a parameter with no node term) once in all: it
+    is broadcast to the block's shape only on return.  A failed check
+    raises the error of the lowest failing replication (its first failing
+    node, then row), as drawing the replications one by one would; a bad
+    constant fails at row 0 of the lowest replication.  A block whose node
+    values exceed :data:`MAX_BLOCK_BYTES` is refused before anything is
+    drawn.
+    """
+    check_block_size(model, len(reps) * n, f"n {n}")
+    shape = (len(reps), n)
+    return {name: col if np.shape(col) == shape else np.full(shape, col)
+            for name, col in _sweep(model, n, seed, reps).items()}
 
 
 def simulate(model: StructuralModel, n: int, seed: int, rep: int = 0) -> Dataset:
@@ -559,22 +632,24 @@ def true_effect(
 ) -> EffectEstimate:
     """Post-intervention contrast of the outcome under exposure 1 vs 0.
 
-    Both arms reuse the same per-node substreams, so shared upstream
-    draws cancel out of the contrast and the reported Monte-Carlo
-    standard error reflects the paired differences.
+    Both arms share one sweep of the node loop: the exposure's value is
+    the arm column [1, 0], and every node draws its substreams once, so
+    shared upstream draws cancel out of the contrast and the reported
+    Monte-Carlo standard error reflects the paired differences.  Only
+    the exposure's descendants hold a value per arm.  A range error in
+    arm 1 wins over one in arm 0, as when the arms ran one after the
+    other.
     """
     if estimand not in ESTIMANDS:
         raise ValueError(f"unknown estimand {estimand!r}; expected one of {ESTIMANDS}")
     if n_oracle < ORACLE_MIN_N:
         raise ValueError(f"n_oracle must be at least {ORACLE_MIN_N}")
     check_oracle_model(model, exposure, outcome, estimand)
+    check_block_size(model, 2 * n_oracle, f"n_oracle {n_oracle} in each of two arms")
 
-    y1, y0 = (
-        simulate_block(
-            intervene(model, exposure, value), n_oracle, seed, range(1)
-        )[outcome][0]
-        for value in (1.0, 0.0)
-    )
+    arms = (exposure, np.array([[1.0], [0.0]]))
+    y = _sweep(model, n_oracle, seed, range(1), arms)[outcome]
+    y1, y0 = np.broadcast_to(y, (2, n_oracle))
 
     if estimand == ATE:
         diff = y1 - y0

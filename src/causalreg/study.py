@@ -32,6 +32,7 @@ from .scm import (
     ORACLE_MIN_N,
     SimulationError,
     StructuralModel,
+    check_block_size,
     check_oracle_model,
     parse_model,
     simulate_block,
@@ -56,6 +57,11 @@ MAX_FAILURE_FRACTION = 0.01
 # keeps its arrays small enough to stay in cache (at n=1000, blocks of 50
 # replications ran a workers=1 panel about 20% faster than blocks of 100).
 MAX_CHUNK_ROWS = 50_000
+# Replications × scenarios of one study.  A report keeps one (replication,
+# estimate) pair per replication of each scenario (about 100 bytes each),
+# and the job list is built before any job runs, so a study asks for its
+# memory up front: the bound keeps that near 100 MB.
+MAX_REPLICATION_RESULTS = 1_000_000
 
 
 class StudyError(NumericalError):
@@ -184,6 +190,11 @@ class StudyConfig:
             raise ValueError("seed must be non-negative")
         if self.oracle_n < ORACLE_MIN_N:
             raise ValueError(f"oracle_n must be at least {ORACLE_MIN_N}")
+        if self.replications * len(self.scenarios) > MAX_REPLICATION_RESULTS:
+            raise ValueError(
+                f"replications {self.replications} for {len(self.scenarios)} scenarios "
+                f"is above the bound of {MAX_REPLICATION_RESULTS} replication results"
+            )
         ids = [s.id for s in self.scenarios]
         if len(set(ids)) != len(ids):
             raise ValueError("scenario ids must be unique")
@@ -398,7 +409,9 @@ def run_scenario(
 def run_study(config: StudyConfig, workers: int = 1) -> BiasReport:
     """Run every scenario; results do not depend on the worker count.
 
-    Each scenario's model is resolved, and checked, once.  One job list
+    Each scenario's model is resolved and checked once, and the node
+    values that its jobs would hold are checked against the simulation
+    budget (:func:`check_block_size`), all before any job runs.  One job list
     holds a ``true_effect`` job per distinct oracle, first so that the
     n=10^6 oracle overlaps the replications, then the replications of
     each scenario in chunks of consecutive indices.
@@ -406,14 +419,19 @@ def run_study(config: StudyConfig, workers: int = 1) -> BiasReport:
     if workers < 1:
         raise ValueError("workers must be at least 1")
     models = [s.resolve_model() for s in config.scenarios]
-    oracles: dict[tuple[str, str, str, str], StructuralModel] = {}
-    for scenario, model in zip(config.scenarios, models):
-        if scenario.true_value is None:
-            oracles.setdefault(_oracle_key(scenario), model)
     lanes = min(workers, os.cpu_count() or 1)
     chunk = max(1, min(
         math.ceil(config.replications / lanes), MAX_CHUNK_ROWS // config.sample_size
     ))
+    oracles: dict[tuple[str, str, str, str], StructuralModel] = {}
+    for scenario, model in zip(config.scenarios, models):
+        where = f"scenario {scenario.id!r}"
+        check_block_size(model, chunk * config.sample_size,
+                         f"{where}: sample_size {config.sample_size}")
+        if scenario.true_value is None:
+            check_block_size(model, 2 * config.oracle_n,
+                             f"{where}: oracle_n {config.oracle_n} in each of two arms")
+            oracles.setdefault(_oracle_key(scenario), model)
     jobs: list[tuple[Callable, tuple]] = [
         (true_effect, (model, *key[1:], config.oracle_n, config.seed))
         for key, model in oracles.items()

@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from causalreg import study
+from causalreg import scm, study
 from causalreg.cli import main, validate_report, ReportSchemaError
 
 
@@ -691,6 +692,61 @@ class TestInputErrors:
         )
         assert (code, out) == (1, "")
         assert err.startswith("error: duplicate design terms in")
+
+
+_HUGE = "1000000000000"
+_BUDGET = f"above the simulation budget of {scm.MAX_BLOCK_BYTES} bytes"
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+
+class TestSizeArguments:
+    """A size past its bound exits 1 at once, naming the flag or field,
+    before anything is allocated and before any job runs."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("simulate", "--model", "setup1", "--n", _HUGE),
+         f"--n {_HUGE}: {_HUGE} rows of 3 nodes need 24000000000000 bytes, {_BUDGET}"),
+        (("study", "--runs", "10", "--n", _HUGE),
+         f"scenario 'setup1': sample_size {_HUGE}: {_HUGE} rows of 3 nodes need "
+         f"24000000000000 bytes, {_BUDGET}"),
+        (("study", "--runs", "2", "--n", "50", "--oracle-n", _HUGE),
+         f"scenario 'setup5_conditional': oracle_n {_HUGE} in each of two arms: "
+         f"2000000000000 rows of 3 nodes need 48000000000000 bytes, {_BUDGET}"),
+        (("study", "--runs", _HUGE, "--n", "1000"),
+         f"replications {_HUGE} for 10 scenarios is above the bound of 1000000 "
+         "replication results"),
+    ], ids=["simulate_n", "study_n", "study_oracle_n", "study_runs"])
+    def test_exits_1_in_under_a_second(self, capsys, monkeypatch, argv, message):
+        def no_jobs(jobs, workers):
+            raise AssertionError("a job ran before the sizes were checked")
+
+        monkeypatch.setattr(study, "_dispatch", no_jobs)
+        monkeypatch.setattr(scm, "simulate", no_jobs)
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_memory_error_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(scm, "simulate", _out_of_memory)
+        code, out, err = run_cli(capsys, "simulate", "--model", "setup1", "--n", "10")
+        assert (code, out, err) == (
+            3, "", "numerical failure: out of memory: Unable to allocate 7.28 TiB "
+            "for an array\n")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_memory_error_in_a_job_exits_3(self, capsys, monkeypatch, tmp_path, workers):
+        monkeypatch.setattr(study, "simulate_block", _out_of_memory)
+        path = tmp_path / "config.json"
+        path.write_text(_one_scenario_config(replications=4))
+        code, out, err = run_cli(capsys, "study", "--config", str(path),
+                                 "--workers", workers)
+        assert (code, out, err) == (
+            3, "", "numerical failure: out of memory: Unable to allocate 7.28 TiB "
+            "for an array\n")
 
 
 class TestSchemaValidation:

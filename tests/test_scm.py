@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import expit
@@ -25,7 +25,7 @@ from causalreg import (
     true_effect,
 )
 from causalreg.fixtures import MODEL_FIXTURES
-from causalreg.scm import Expr, NodeSpec, StructuralModel, Term
+from causalreg.scm import MAX_BLOCK_BYTES, Expr, NodeSpec, StructuralModel, Term
 
 
 def gaussian_mean(f, mu, sd):
@@ -75,6 +75,30 @@ class TestExprParsing:
     def test_three_way_product_rejected(self):
         with pytest.raises(ModelParseError, match="at most two"):
             parse_expr("A*B*C")
+
+
+class TestExprValues:
+    def test_constant_parameter_is_a_scalar(self):
+        value = parse_expr("plogis(-0.5 + 2)").evaluate({})
+        assert np.ndim(value) == 0
+        assert value == expit(np.zeros(1) - 0.5 + 2)[0]
+
+    def test_constant_column_keeps_the_value_a_scalar(self):
+        value = parse_expr("2 + 3*A").evaluate({"A": np.float64(1.0)})
+        assert np.ndim(value) == 0 and value == 5.0
+
+    def test_value_takes_the_broadcast_shape_of_its_columns(self):
+        cols = {"A": np.array([[1.0], [0.0]]), "L": np.arange(3.0)[None, :]}
+        value = parse_expr("1 + A + 2*L - A*L").evaluate(cols)
+        assert np.array_equal(value, [[2.0, 3.0, 4.0], [1.0, 3.0, 5.0]])
+
+    def test_sum_starts_from_positive_zero(self):
+        # A sum over np.zeros(shape) turns a leading -0.0 into 0.0.
+        value = parse_expr("A*L").evaluate({"A": np.zeros(2), "L": -np.ones(2)})
+        assert np.array_equal(np.copysign(1.0, value), [1.0, 1.0])
+
+    def test_shape_broadcasts_the_value(self):
+        assert parse_expr("3").evaluate({}, (2, 4)).shape == (2, 4)
 
 
 _COEFS = st.one_of(
@@ -298,6 +322,30 @@ class TestSimulateBlock:
             simulate_block(model, 60, seed, range(3, 23))
         assert (info.value.rep, str(info.value)) == expected[0]
 
+    @pytest.mark.parametrize("text, message", [
+        ("X ~ bernoulli(2)\n", "node 'X': probability outside [0, 1] at row 0"),
+        ("X ~ normal(0, -1)\n", "node 'X': invalid sd at row 0"),
+        ("L ~ normal(0, 1)\nX ~ normal(L, 1)\nZ ~ bernoulli(-1)\n",
+         "node 'Z': probability outside [0, 1] at row 0"),
+    ], ids=["bernoulli", "normal_sd", "after_drawn_nodes"])
+    def test_bad_constant_fails_at_row_0_of_the_lowest_replication(self, text, message):
+        with pytest.raises(SimulationError) as info:
+            simulate_block(parse_model(text), 10, 0, range(2, 7))
+        assert (str(info.value), info.value.rep) == (message, 2)
+
+    def test_constant_columns_are_full_blocks(self):
+        model = intervene(model_fixture("setup1"), "A", 1.0)
+        block = simulate_block(model, 7, 3, range(4, 6))
+        assert block["A"].shape == (2, 7) and np.all(block["A"] == 1.0)
+        assert all(col.shape == (2, 7) for col in block.values())
+
+    def test_block_over_the_budget_is_refused_before_drawing(self):
+        n = MAX_BLOCK_BYTES // 8 // 3 + 1  # setup1 has 3 nodes
+        with pytest.raises(ValueError, match=f"^n {n}: {n} rows of 3 nodes need"):
+            simulate(model_fixture("setup1"), n, seed=1)
+        with pytest.raises(ValueError, match="above the simulation budget"):
+            simulate_block(model_fixture("setup1"), n // 2 + 1, 1, range(2))
+
     def test_block_error_seen_alone_keeps_its_message(self):
         model = parse_model("L ~ normal(1, 1)\nB ~ bernoulli(L)\n")
         with pytest.raises(SimulationError) as info:
@@ -345,7 +393,97 @@ class TestIntervene:
         assert ks_y.pvalue < 0.01
 
 
+# true_effect at n=100,000, as float.hex() of (value, mc_se), recorded when
+# the two arms were swept one after the other.
+_ORACLE_PINS = [
+    ("setup1", ATE, 3, "0x1.0000000000000p+0", "0x1.148e118dd6ccdp-60"),
+    ("setup1", ATE, 11, "0x1.0000000000000p+0", "0x1.14490e1a646c8p-60"),
+    ("setup2", ATE, 3, "0x1.0000000000000p+0", "0x1.7b4fe783fd2a0p-61"),
+    ("setup2", ATE, 11, "0x1.0000000000000p+0", "0x1.7b7c88d5aa6eap-61"),
+    ("setup3", ATE, 3, "0x1.0000000000000p+0", "0x1.148e118dd6ccdp-60"),
+    ("setup3", ATE, 11, "0x1.0000000000000p+0", "0x1.14490e1a646c8p-60"),
+    ("setup4", ATE, 3, "0x1.ffd748f7ea149p+0", "0x1.9d7caa3643169p-9"),
+    ("setup4", ATE, 11, "0x1.0073b61eb4b2fp+1", "0x1.9e393570f3cd3p-9"),
+    ("setup4b", ATE, 3, "0x1.ffd748f7ea149p+0", "0x1.9d7caa3643169p-9"),
+    ("setup4b", ATE, 11, "0x1.0073b61eb4b2fp+1", "0x1.9e393570f3cd3p-9"),
+    ("setup5", ATE, 3, "0x1.2ebc408d8ec96p-3", "0x1.2638b2438834bp-10"),
+    ("setup5", LOG_MOR, 3, "0x1.b9998d5c7f004p-1", "0x1.ba9b05d7bbbc9p-8"),
+    ("setup5", ATE, 11, "0x1.2d4d4024b33dbp-3", "0x1.25a4fffbeba7ep-10"),
+    ("setup5", LOG_MOR, 11, "0x1.b895ad5ee6692p-1", "0x1.bac1c46691302p-8"),
+    ("setup6", ATE, 3, "0x1.1e670e2c12ad8p-1", "0x1.9b8e06e8d4375p-10"),
+    ("setup6", ATE, 11, "0x1.1ecaab8a5ce5bp-1", "0x1.9b7a9c67245f5p-10"),
+    ("setup7", ATE, 3, "0x1.0000000000000p+0", "0x1.a1ca76e029974p-62"),
+    ("setup7", ATE, 11, "0x1.0000000000000p+0", "0x1.9f39aadb74f8fp-62"),
+]
+
+
+def _two_sweeps(model, exposure, outcome, n, seed):
+    """The outcome under do(exposure=1), then do(exposure=0), each arm simulated
+    to the end on its own: the first failing arm's error is raised."""
+    return [simulate_block(intervene(model, exposure, value), n, seed, range(1))[outcome][0]
+            for value in (1.0, 0.0)]
+
+
+_SMALL_COEFS = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def _oracle_models(draw):
+    """A bernoulli A among up to four nodes, with small coefficients; some
+    laws leave their range in one arm or both."""
+    specs = []
+    for name in ("L", "A", "M", "Y"):
+        names = [spec.name for spec in specs]
+        refs = st.lists(st.sampled_from(names), max_size=2) if names else st.just([])
+        expr = st.builds(Expr, st.lists(st.builds(Term, _SMALL_COEFS, refs.map(tuple)),
+                                         min_size=1, max_size=3).map(tuple), st.booleans())
+        dist = "bernoulli" if name == "A" else draw(st.sampled_from(["normal", "bernoulli"]))
+        specs.append(NodeSpec(name, dist, tuple(draw(expr) for _ in range(
+            2 if dist == "normal" else 1))))
+    return StructuralModel(tuple(specs))
+
+
 class TestTrueEffect:
+    @pytest.mark.parametrize("name, estimand, seed, value, mc_se", _ORACLE_PINS)
+    def test_bytes_of_the_two_arm_oracle(self, name, estimand, seed, value, mc_se):
+        est = true_effect(model_fixture(name), "A", "Y", estimand, 100_000, seed)
+        assert (est.value.hex(), est.mc_se.hex()) == (value, mc_se)
+
+    @pytest.mark.parametrize("text, message", [
+        # Arm 0 fails first at M (sd -1), arm 1 only at Y (probability 1.5);
+        # swept one after the other, arm 1 ran first and reported Y.
+        ("A ~ bernoulli(0.5)\nM ~ normal(0, 2*A - 1)\nY ~ bernoulli(0.5 + A)\n",
+         "node 'Y': probability outside [0, 1] at row 0"),
+        ("L ~ normal(0, -1)\nA ~ bernoulli(0.5)\nY ~ normal(A, 1)\n",
+         "node 'L': invalid sd at row 0"),
+    ], ids=["arm_1_wins_over_an_earlier_node_of_arm_0", "before_the_exposure"])
+    def test_range_error_of_the_oracle(self, text, message):
+        with pytest.raises(SimulationError) as info:
+            true_effect(parse_model(text), "A", "Y", ATE, 100_000, seed=0)
+        assert (str(info.value), info.value.rep) == (message, 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_oracle_models(), st.integers(0, 3))
+    def test_one_sweep_equals_two(self, model, seed):
+        n = 100_000
+        try:
+            y1, y0 = _two_sweeps(model, "A", "Y", n, seed)
+        except SimulationError as exc:
+            with pytest.raises(SimulationError) as info:
+                true_effect(model, "A", "Y", ATE, n, seed)
+            assert (str(info.value), info.value.rep) == (str(exc), exc.rep)
+            return
+        est = true_effect(model, "A", "Y", ATE, n, seed)
+        diff = y1 - y0
+        assert est.value == float(diff.mean())
+        assert est.mc_se == float(diff.std(ddof=1) / math.sqrt(n))
+
+    def test_oracle_over_the_budget_is_refused_before_drawing(self):
+        n = MAX_BLOCK_BYTES // 8 // 3 // 2 + 1  # setup5 has 3 nodes, in two arms
+        with pytest.raises(ValueError, match=f"^n_oracle {n} in each of two arms: "
+                                             f"{2 * n} rows of 3 nodes need"):
+            true_effect(model_fixture("setup5"), "A", "Y", LOG_MOR, n)
+
     def test_setup1_ate_is_exactly_one(self):
         est = true_effect(model_fixture("setup1"), "A", "Y", ATE, 100_000, seed=1)
         assert est.value == pytest.approx(1.0, abs=1e-12)

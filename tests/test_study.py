@@ -80,6 +80,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="replications"):
             StudyConfig(scenarios=(), replications=0)
 
+    def test_replication_results_bound(self):
+        scenarios = default_study_config().scenarios
+        StudyConfig(scenarios=scenarios, replications=study.MAX_REPLICATION_RESULTS // 10)
+        with pytest.raises(ValueError, match="^replications 100001 for 10 scenarios is "
+                                             "above the bound of 1000000 "):
+            StudyConfig(scenarios=scenarios, replications=100_001)
+
     def test_sample_size_bound(self):
         with pytest.raises(ValueError, match="sample_size"):
             StudyConfig(scenarios=(), sample_size=5)

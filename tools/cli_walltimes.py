@@ -43,6 +43,10 @@ COMMANDS = {
                  "--measure", "odds_ratio"],
     "simulate": ["-m", "causalreg", "simulate", "--model", "setup1",
                  "--n", "1000", "--seed", "1"],
+    "simulate_large": ["-m", "causalreg", "simulate", "--model", "setup7",
+                       "--n", "1000000"],
+    "study": ["-m", "causalreg", "study", "--seed", "7", "--runs", "100",
+              "--n", "1000"],
     "python_pass": ["-c", "pass"],
 }
 # Timed runs per command and checkout.
@@ -116,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     args.output.write_text(json.dumps(doc, indent=1) + "\n")
     for name, by_side in doc["wall_s"].items():
-        print(f"{name:12s} parent {by_side['parent']['median']:.3f} s  "
+        print(f"{name:14s} parent {by_side['parent']['median']:.3f} s  "
               f"change {by_side['change']['median']:.3f} s")
     return 0
 
