@@ -108,10 +108,11 @@ def _fmt(x: float) -> str:
 
 
 def _into(op: np.ufunc, out, x):
-    """``op(out, x)``, written into ``out`` when it is an array that already
-    has the result's shape; ``out`` must be a scalar or an array that no one
-    else holds."""
-    if isinstance(out, np.ndarray) and np.broadcast_shapes(out.shape, np.shape(x)) == out.shape:
+    """``op(out, x)``, written into ``out`` when it is a writeable array that
+    already has the result's shape; a writeable ``out`` must be an array that
+    no one else holds, and a read-only one is left as it is."""
+    if (isinstance(out, np.ndarray) and out.flags.writeable
+            and np.broadcast_shapes(out.shape, np.shape(x)) == out.shape):
         return op(out, x, out=out)
     return op(out, x)
 
@@ -472,29 +473,52 @@ def check_block_size(model: StructuralModel, rows: int, what: str) -> None:
         )
 
 
+# Raw draws by (node name, law): standard normals for a normal law, uniforms
+# for a bernoulli one.  They depend on neither the model nor the parameters.
+RawDraws = dict[tuple[str, str], np.ndarray]
+
+
+def _draw(spec: NodeSpec, n: int, seed: int, reps) -> np.ndarray:
+    """The raw draws of ``spec``'s node, (len(reps), n): row ``i`` from the
+    substream keyed by (seed, node, reps[i])."""
+    key = _node_key(spec.name)
+    draws = np.empty((len(reps), n))
+    for i, rep in enumerate(reps):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, key, rep)))
+        if spec.dist == "normal":
+            rng.standard_normal(n, out=draws[i])
+        else:
+            rng.random(n, out=draws[i])
+    return draws
+
+
 def _sweep(
     model: StructuralModel,
     n: int,
     seed: int,
     reps: range,
     arms: tuple[str, np.ndarray] | None = None,
+    raw_draws: RawDraws | None = None,
 ) -> dict[str, np.ndarray | np.float64]:
     """The node loop of :func:`simulate_block` and :func:`true_effect`.
 
     The block has lanes along its first axis: one per replication in
     ``reps``, or with ``arms=(node, column)`` one per row of ``column``,
     whose value ``node`` takes there instead of drawing from its law; the
-    arms share one replication.  A node's raw draws are (len(reps), n).
-    Every value is kept only over the axes it varies on: a constant law
-    stays a scalar, and only a descendant of the arm node gets the lane
-    axis, through broadcasting.  A failed check raises the error of the
-    lowest failing lane (its first failing node, then row), as sweeping
-    the lanes one by one would.
+    arms share one replication.  A node's raw draws are (len(reps), n),
+    drawn for this sweep alone; with ``raw_draws`` (replication lanes
+    only) they are read from that mapping, or drawn into it, read-only and
+    over all of ``reps``, when it lacks them.  Every value is kept only
+    over the axes it varies on: a constant law stays a scalar, and only a
+    descendant of the arm node gets the lane axis, through broadcasting.
+    A failed check raises the error of the lowest failing lane (its first
+    failing node, then row), as sweeping the lanes one by one would.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if seed < 0 or min(reps, default=0) < 0:
         raise ValueError("seed and rep must be non-negative")
+    block = reps
     reps = list(reps)
     lanes = len(reps) if arms is None else len(arms[1])
     columns: dict[str, np.ndarray | np.float64] = {}
@@ -510,14 +534,16 @@ def _sweep(
             if spec.dist == "constant":
                 columns[spec.name] = params[0]
                 continue
-            key = _node_key(spec.name)
-            draws = np.empty((len(reps), n))
-            for i, rep in enumerate(reps):
-                rng = np.random.default_rng(np.random.SeedSequence((seed, key, rep)))
-                if spec.dist == "normal":
-                    rng.standard_normal(n, out=draws[i])
-                else:
-                    rng.random(n, out=draws[i])
+            if raw_draws is None:
+                draws = _draw(spec, n, seed, reps)
+            else:
+                # Drawn over the whole block even after lanes were dropped:
+                # the next model to read them may need every lane.
+                key = (spec.name, spec.dist)
+                if key not in raw_draws:
+                    raw_draws[key] = _draw(spec, n, seed, block)
+                    raw_draws[key].setflags(write=False)
+                draws = raw_draws[key][:lanes]
             if spec.dist == "normal":
                 draws = _into(np.add, _into(np.multiply, draws, params[1]), params[0])
                 columns[spec.name] = draws
@@ -551,7 +577,8 @@ def _sweep(
 
 
 def simulate_block(
-    model: StructuralModel, n: int, seed: int, reps: range
+    model: StructuralModel, n: int, seed: int, reps: range,
+    raw_draws: RawDraws | None = None,
 ) -> dict[str, np.ndarray]:
     """Draw ``n`` rows for each replication in ``reps``: one (len(reps), n)
     array per node, in declaration order.
@@ -567,11 +594,18 @@ def simulate_block(
     constant fails at row 0 of the lowest replication.  A block whose node
     values exceed :data:`MAX_BLOCK_BYTES` is refused before anything is
     drawn.
+
+    Models that share nodes can share their draws.  Calls given one
+    ``raw_draws`` mapping, with the same ``n``, ``seed`` and ``reps``,
+    take a node's raw draws from it and draw the ones it lacks into it,
+    always over the whole of ``reps``; so each (node name, law) substream
+    is drawn once for all of them.  No returned column shares memory with
+    the mapping.
     """
     check_block_size(model, len(reps) * n, f"n {n}")
     shape = (len(reps), n)
     return {name: col if np.shape(col) == shape else np.full(shape, col)
-            for name, col in _sweep(model, n, seed, reps).items()}
+            for name, col in _sweep(model, n, seed, reps, raw_draws=raw_draws).items()}
 
 
 def simulate(model: StructuralModel, n: int, seed: int, rep: int = 0) -> Dataset:

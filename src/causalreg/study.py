@@ -6,6 +6,13 @@ effect, and reports bias with its Monte-Carlo standard error.
 Replication r draws from substreams keyed by (seed, node, r + 1);
 truth oracles use replication 0, so worker partitioning and scenario
 order can never change a single draw.
+
+A replication job is one range of consecutive replications of every
+scenario.  It holds the raw draws of each distinct (node name, law)
+substream over its range, drawn once for all the scenarios that read
+it; it simulates each distinct model once on them, one model's node
+values at a time, and fits each scenario's design on its model's
+columns.
 """
 
 from __future__ import annotations
@@ -29,7 +36,9 @@ from .scm import (
     ATE,
     ESTIMANDS,
     LOG_MOR,
+    MAX_BLOCK_BYTES,
     ORACLE_MIN_N,
+    RawDraws,
     SimulationError,
     StructuralModel,
     check_block_size,
@@ -53,9 +62,13 @@ __all__ = [
 ]
 
 MAX_FAILURE_FRACTION = 0.01
-# Rows simulated per replication job: bounds the memory of a block, and
-# keeps its arrays small enough to stay in cache (at n=1000, blocks of 50
-# replications ran a workers=1 panel about 20% faster than blocks of 100).
+# Rows of one replication range, the replications of a job times
+# sample_size: each of the job's substreams and node values is an array of
+# that many rows, small enough to stay in cache (at n=1000, ranges of 50
+# replications ran a workers=1 panel about 20% faster than ranges of 100).
+# A job holds one such array per distinct substream of the study, and
+# those of one model's nodes; when they would pass MAX_BLOCK_BYTES the
+# range is shorter.
 MAX_CHUNK_ROWS = 50_000
 # Replications × scenarios of one study.  A report keeps one (replication,
 # estimate) pair per replication of each scenario (about 100 bytes each),
@@ -287,28 +300,51 @@ def default_study_config(**settings: int) -> StudyConfig:
     return StudyConfig(scenarios, **settings)
 
 
+Batch = list[tuple[int, float | None, str | None]]
+
+
 def _replicate(
-    model: StructuralModel,
-    scenario: Scenario,
+    groups: dict[StructuralModel, list[Scenario]],
     sample_size: int,
     seed: int,
     reps: range,
-) -> list[tuple[int, float | None, str | None]]:
-    """The replication kernel: ``(rep, estimate, None)`` or ``(rep, None,
-    failure message)`` for each replication in ``reps``.
+) -> dict[str, Batch | SimulationError]:
+    """The replication kernel: replications ``reps`` of every scenario of
+    ``groups``, which lists the scenarios of each distinct model.
 
-    The replications are simulated as one block and fitted as stacks,
-    one per complete-case row count, by ``ols`` or ``irls``, which give
-    each replication its own verdict and message.
+    Each model is simulated once, as one block, from raw draws that the
+    job's models share, and its scenarios are fitted on its columns.  For
+    each scenario id: ``(rep, estimate, None)`` or ``(rep, None, failure
+    message)`` for each replication, or the range error that stopped its
+    model at its lowest failing replication.  An error stops no other
+    model.
     """
-    try:
-        columns = simulate_block(
-            model, sample_size, seed, range(reps.start + 1, reps.stop + 1)
-        )
-    except SimulationError as exc:
-        raise SimulationError(
-            f"scenario {scenario.id!r}, replication {exc.rep - 1}: {exc}"
-        ) from None
+    raw_draws: RawDraws = {}
+    batches: dict[str, Batch | SimulationError] = {}
+    for model, scenarios in groups.items():
+        try:
+            columns = simulate_block(model, sample_size, seed,
+                                     range(reps.start + 1, reps.stop + 1), raw_draws)
+        except SimulationError as exc:
+            for scenario in scenarios:
+                batches[scenario.id] = SimulationError(
+                    f"scenario {scenario.id!r}, replication {exc.rep - 1}: {exc}")
+            continue
+        for scenario in scenarios:
+            batches[scenario.id] = _fit(columns, scenario, sample_size, reps)
+        del columns  # one model's node values at a time
+    return batches
+
+
+def _fit(
+    columns: dict[str, np.ndarray], scenario: Scenario, sample_size: int, reps: range
+) -> Batch:
+    """The scenario's estimate or failure for each replication of the block.
+
+    The replications are fitted as stacks, one per complete-case row
+    count, by ``ols`` or ``irls``, which give each replication its own
+    verdict and message.
+    """
     design = scenario.design
     names = design.column_names()
     target = names.index(scenario.target)
@@ -343,7 +379,7 @@ def _oracle_key(scenario: Scenario) -> tuple[str, str, str, str]:
 def _aggregate(
     scenario: Scenario,
     config: StudyConfig,
-    results: list[tuple[int, float | None, str | None]],
+    results: Batch,
     truth: tuple[float, str],
 ) -> tuple[ScenarioResult, tuple[tuple[int, float], ...]]:
     results.sort(key=lambda item: item[0])
@@ -406,51 +442,74 @@ def run_scenario(
     return run_study(replace(config, scenarios=(scenario,))).results[0]
 
 
+def _range_size(config: StudyConfig, models: list[StructuralModel], lanes: int) -> int:
+    """Replications per job: enough to give each of ``lanes`` workers a
+    range, at most ``MAX_CHUNK_ROWS`` rows (at least one replication), and
+    no more than the simulation budget admits of what a job holds: a block
+    of each distinct (node name, law) substream of the study and of the
+    largest model's nodes.  A study of which one replication does not fit
+    is refused, naming ``sample_size``."""
+    streams = {(s.name, s.dist) for m in models for s in m.specs if s.dist != "constant"}
+    nodes = max(len(m.specs) for m in models)
+    need = (len(streams) + nodes) * config.sample_size * 8
+    if need > MAX_BLOCK_BYTES:
+        raise ValueError(
+            f"sample_size {config.sample_size}: one replication of {len(streams)} "
+            f"distinct substreams and the {nodes} nodes of the largest model needs "
+            f"{need} bytes, above the simulation budget of {MAX_BLOCK_BYTES} bytes"
+        )
+    return max(1, min(
+        math.ceil(config.replications / lanes),
+        MAX_CHUNK_ROWS // config.sample_size,
+        MAX_BLOCK_BYTES // need,
+    ))
+
+
 def run_study(config: StudyConfig, workers: int = 1) -> BiasReport:
     """Run every scenario; results do not depend on the worker count.
 
-    Each scenario's model is resolved and checked once, and the node
-    values that its jobs would hold are checked against the simulation
-    budget (:func:`check_block_size`), all before any job runs.  One job list
-    holds a ``true_effect`` job per distinct oracle, first so that the
-    n=10^6 oracle overlaps the replications, then the replications of
-    each scenario in chunks of consecutive indices.
+    Each scenario's model is resolved and checked once, and one
+    replication of it and its oracle's two arms are checked against the
+    simulation budget (:func:`check_block_size`), all before any job runs.
+    One job list holds a ``true_effect`` job per distinct oracle, first so
+    that the n=10^6 oracle overlaps the replications, then one job per
+    range of consecutive replications (:func:`_range_size`), each of
+    which runs every scenario over its range, simulating each distinct
+    model once.  A range error stops the study, naming the first scenario
+    in config order that failed, at its lowest failing replication; it
+    wins over any scenario's too many failed fits.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    if not config.scenarios:
+        return BiasReport(config=config, results=(), estimates={})
     models = [s.resolve_model() for s in config.scenarios]
-    lanes = min(workers, os.cpu_count() or 1)
-    chunk = max(1, min(
-        math.ceil(config.replications / lanes), MAX_CHUNK_ROWS // config.sample_size
-    ))
     oracles: dict[tuple[str, str, str, str], StructuralModel] = {}
+    groups: dict[StructuralModel, list[Scenario]] = {}
     for scenario, model in zip(config.scenarios, models):
         where = f"scenario {scenario.id!r}"
-        check_block_size(model, chunk * config.sample_size,
+        check_block_size(model, config.sample_size,
                          f"{where}: sample_size {config.sample_size}")
         if scenario.true_value is None:
             check_block_size(model, 2 * config.oracle_n,
                              f"{where}: oracle_n {config.oracle_n} in each of two arms")
             oracles.setdefault(_oracle_key(scenario), model)
+        groups.setdefault(model, []).append(scenario)
+    chunk = _range_size(config, models, min(workers, os.cpu_count() or 1))
     jobs: list[tuple[Callable, tuple]] = [
         (true_effect, (model, *key[1:], config.oracle_n, config.seed))
         for key, model in oracles.items()
     ]
-    owners: list[str] = []
-    for scenario, model in zip(config.scenarios, models):
-        for start in range(0, config.replications, chunk):
-            reps = range(start, min(start + chunk, config.replications))
-            jobs.append(
-                (_replicate, (model, scenario, config.sample_size, config.seed, reps))
-            )
-            owners.append(scenario.id)
+    for start in range(0, config.replications, chunk):
+        reps = range(start, min(start + chunk, config.replications))
+        jobs.append((_replicate, (groups, config.sample_size, config.seed, reps)))
     outputs = _dispatch(jobs, workers)
     truths = {key: estimate.value for key, estimate in zip(oracles, outputs)}
-    per_scenario: dict[str, list[tuple[int, float | None, str | None]]] = {
-        s.id: [] for s in config.scenarios
-    }
-    for scenario_id, batch in zip(owners, outputs[len(oracles):]):
-        per_scenario[scenario_id].extend(batch)
+    ranges: list[dict[str, Batch | SimulationError]] = outputs[len(oracles):]
+    for scenario in config.scenarios:
+        for batches in ranges:
+            if isinstance(batches[scenario.id], SimulationError):
+                raise batches[scenario.id]
 
     results: list[ScenarioResult] = []
     estimates: dict[str, tuple[tuple[int, float], ...]] = {}
@@ -459,9 +518,8 @@ def run_study(config: StudyConfig, workers: int = 1) -> BiasReport:
             truth = (float(scenario.true_value), "exact")
         else:
             truth = (truths[_oracle_key(scenario)], "oracle")
-        result, values = _aggregate(
-            scenario, config, per_scenario[scenario.id], truth
-        )
+        batch = [item for batches in ranges for item in batches[scenario.id]]
+        result, values = _aggregate(scenario, config, batch, truth)
         results.append(result)
         estimates[scenario.id] = values
     return BiasReport(config=config, results=tuple(results), estimates=estimates)

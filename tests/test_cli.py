@@ -702,6 +702,21 @@ def _out_of_memory(*args, **kwargs):
     raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
 
+class _Stopped(Exception):
+    pass
+
+
+def _distinct_scenarios(count, sample_size, replications=2):
+    """A study config of ``count`` two-node inline scenarios, no two of
+    which share a node name."""
+    return {"replications": replications, "sample_size": sample_size, "scenarios": [
+        {"id": f"s{i}", "model": f"A{i} ~ bernoulli(0.5)\nY{i} ~ normal(A{i}, 1)\n",
+         "target": f"A{i}", "true_value": 1.0,
+         "design": {"outcome": f"Y{i}", "covariates": [f"A{i}"]}}
+        for i in range(count)
+    ]}
+
+
 class TestSizeArguments:
     """A size past its bound exits 1 at once, naming the flag or field,
     before anything is allocated and before any job runs."""
@@ -729,6 +744,44 @@ class TestSizeArguments:
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - t0 < 1.0
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_shared_draws_of_one_replication_over_the_budget_exit_1(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # Each scenario alone is 3.2 MB a replication; a job holds the
+        # draws of all 400 distinct substreams.
+        def no_jobs(jobs, workers):
+            raise AssertionError("a job ran before the sizes were checked")
+
+        monkeypatch.setattr(study, "_dispatch", no_jobs)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(_distinct_scenarios(200, sample_size=200_000)))
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "study", "--config", str(path))
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out, err) == (
+            1, "", "error: sample_size 200000: one replication of 400 distinct "
+            "substreams and the 2 nodes of the largest model needs 643200000 bytes, "
+            f"{_BUDGET}\n")
+
+    def test_shared_draws_shorten_the_range(self, monkeypatch):
+        # 50 replications of n=1000 hold 1,402 arrays of 50,000 rows here,
+        # above the budget: ranges of 47 replications fit.
+        ranges = []
+
+        def record(jobs, workers):
+            ranges.extend(args[-1] for _, args in jobs)
+            raise _Stopped
+
+        monkeypatch.setattr(study, "_dispatch", record)
+        config = study.StudyConfig.from_dict(
+            _distinct_scenarios(700, sample_size=1000, replications=100))
+        t0 = time.perf_counter()
+        with pytest.raises(_Stopped):
+            study.run_study(config)
+        assert time.perf_counter() - t0 < 1.0
+        assert scm.MAX_BLOCK_BYTES // (1402 * 1000 * 8) == 47
+        assert ranges == [range(0, 47), range(47, 94), range(94, 100)]
 
     def test_memory_error_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(scm, "simulate", _out_of_memory)

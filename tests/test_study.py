@@ -10,6 +10,7 @@ from causalreg import (
     DesignSpec,
     FitError,
     Scenario,
+    SimulationError,
     StudyConfig,
     StudyError,
     default_study_config,
@@ -20,7 +21,7 @@ from causalreg import (
     simulate,
     true_effect,
 )
-from causalreg import study
+from causalreg import scm, study
 from causalreg._blas import blas_threads
 from causalreg.study import estimates_csv, render_bias_table
 
@@ -203,6 +204,74 @@ class TestRun:
             assert calls == [("A", "Y", "log_MOR"), ("A", "Y", "ATE")]
 
 
+# Fails at replication 3 of seed 0 at n=60, at B, before it draws Z.
+FAILS_AT_3 = Scenario("fails_at_3", "L ~ normal(0, 1)\nB ~ bernoulli(0.3 + 0.1*L)\n"
+                      "Z ~ normal(0, 1)\n", DesignSpec("Z", ("B",)), "B", true_value=0.0)
+# Fails at replication 6 of seed 0 at n=60, and at no other below 10.
+FAILS_AT_6 = Scenario("fails_at_6", "S ~ normal(0, 1)\nD ~ bernoulli(0.3 + 0.1*S)\n",
+                      DesignSpec("D", ("S",)), "S", true_value=0.0)
+
+
+class TestRangeJobs:
+    """A job is one range of replications of every scenario."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_scenario_alone_matches_its_row_of_the_panel(self, workers):
+        # At workers=2, R=7 splits into ranges of 4 and 3.
+        config = default_study_config(
+            replications=7, sample_size=400, seed=11, oracle_n=100_000
+        )
+        panel = run_study(config, workers=workers)
+        for scenario in config.scenarios:
+            alone = run_study(replace(config, scenarios=(scenario,)), workers=workers)
+            assert alone.estimates[scenario.id] == panel.estimates[scenario.id]
+
+    def test_a_failed_model_leaves_whole_draws_to_the_next(self):
+        # The second model reads Z's normal substream, which the first one
+        # drew after it had dropped replications 3 and up.
+        reads_z = Scenario("reads_z", "Z ~ normal(0, 1)\nA ~ bernoulli(0.5)\n"
+                           "Y ~ normal(A + Z, 1)\n", DesignSpec("Y", ("A", "Z")), "A",
+                           true_value=1.0)
+        groups = {s.resolve_model(): [s] for s in (FAILS_AT_3, reads_z)}
+        batches = study._replicate(groups, 60, 0, range(10))
+        assert str(batches["fails_at_3"]).startswith(
+            "scenario 'fails_at_3', replication 3: node 'B': probability outside")
+        alone = study._replicate({reads_z.resolve_model(): [reads_z]}, 60, 0, range(10))
+        assert len(batches["reads_z"]) == 10
+        assert batches["reads_z"] == alone["reads_z"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_range_error_is_the_first_failing_scenario_in_config_order(self, workers):
+        # At workers=2 the first range holds only fails_at_3's error.  Both
+        # errors win over the starved scenario's failed fits.
+        starved = Scenario("starved", "A ~ bernoulli(0.5)\nY ~ normal(A, 1)\n"
+                           "C ~ bernoulli(0.001)\n", DesignSpec("Y", ("A",)), "A",
+                           true_value=1.0, require_ones=("C",))
+        config = StudyConfig((starved, FAILS_AT_6, FAILS_AT_3), replications=10,
+                             sample_size=60, seed=0)
+        with pytest.raises(SimulationError) as info:
+            run_study(config, workers=workers)
+        assert str(info.value) == (
+            "scenario 'fails_at_6', replication 6: node 'D': probability outside "
+            "[0, 1] at row 17")
+
+    def test_each_substream_is_seeded_once_per_range(self, monkeypatch):
+        # The panel's 35 drawn nodes read 10 distinct (node, law) substreams
+        # (Y is normal in some models and bernoulli in others), and at
+        # workers=1 its 50 replications are one range.
+        seeded = []
+        seed_sequence = np.random.SeedSequence
+
+        def counting(entropy, *args, **kwargs):
+            seeded.append(entropy)
+            return seed_sequence(entropy, *args, **kwargs)
+
+        monkeypatch.setattr(scm.np.random, "SeedSequence", counting)
+        run_study(default_study_config(replications=50, oracle_n=100_000))
+        replications = [entropy for entropy in seeded if entropy[2] >= 1]
+        assert len(replications) == 500
+
+
 class TestDeterminismAndOutput:
     def test_worker_counts_agree_byte_for_byte(self):
         config = small_config(
@@ -288,7 +357,7 @@ class TestKernel:
         scenario = default_study_config().scenarios[5]
         assert scenario.estimand == "log_MOR"
         model = scenario.resolve_model()
-        batch = study._replicate(model, scenario, 12, 3, range(40))
+        batch = study._replicate({model: [scenario]}, 12, 3, range(40))[scenario.id]
         failures = 0
         for rep, value, message in sorted(batch):
             expected = public_fit(model, scenario, 12, 3, rep)
@@ -319,7 +388,7 @@ class TestKernel:
     ], ids=["setup7", "collinear", "non_binary", "logistic_complete_cases"])
     def test_stacked_kernel_matches_public_fitters(self, scenario, n, failures):
         model = scenario.resolve_model()
-        batch = study._replicate(model, scenario, n, 4, range(40))
+        batch = study._replicate({model: [scenario]}, n, 4, range(40))[scenario.id]
         assert [rep for rep, _, _ in batch] == list(range(40))
         failed = 0
         for rep, value, message in batch:
@@ -362,7 +431,7 @@ class TestKernel:
 
         monkeypatch.setattr(study, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(study.os, "cpu_count", lambda: 4)
-        # Three scenarios in four chunks each: twelve jobs for four cores.
+        # Twenty replications in four ranges of five: four jobs for four cores.
         config = small_config(("setup1", "setup2", "setup3"), replications=20, n=100)
         expected = run_study(config).as_dict()
         assert run_study(config, workers=500).as_dict() == expected

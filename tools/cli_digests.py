@@ -21,6 +21,10 @@ same bytes.  The request set:
 Files the requests read are written to a temporary directory, whose
 name is replaced by ``<tmp>`` before digesting.
 
+Exits 1, naming the request on stderr, when a ``study`` request at
+``--workers 2`` digests differently from the same request at
+``--workers 1``: a study's output must not depend on its worker count.
+
 Run from a checkout root::
 
     python3 tools/cli_digests.py
@@ -111,9 +115,16 @@ def requests(tmp: Path):
             yield query.argv
 
 
+def at_one_worker(argv: tuple[str, ...]) -> tuple[str, ...]:
+    """The same request with ``--workers 1``."""
+    i = argv.index("--workers")
+    return argv[:i + 1] + ("1",) + argv[i + 2:]
+
+
 def main() -> int:
     os.environ.pop(cli.SEED_ENV_VAR, None)
     total = hashlib.md5()
+    digests: dict[tuple[str, ...], str] = {}
     count = 0
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
@@ -122,10 +133,16 @@ def main() -> int:
             blob = "\0".join((stdout, stderr, str(code))).replace(str(tmp), "<tmp>")
             digest = hashlib.md5(blob.encode()).hexdigest()
             total.update(digest.encode())
+            digests[tuple(argv)] = digest
             count += 1
             print(f"{digest}  {' '.join(argv).replace(str(tmp), '<tmp>')}")
     print(f"{total.hexdigest()}  total of {count} requests")
-    return 0
+    differ = [argv for argv, digest in digests.items() if argv[0] == "study"
+              and "--workers" in argv and digests[at_one_worker(argv)] != digest]
+    for argv in differ:
+        print(f"error: {' '.join(argv)} differs from the same request at --workers 1",
+              file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
