@@ -3,8 +3,12 @@
 numpy and scipy may each map their own OpenBLAS build, each with its own
 thread pool.  Study workers run with one BLAS thread: forked workers that
 keep the parent's threads oversubscribe the cores, and a fixed count keeps
-every reduction's order, hence every digit, the same on each path.  Where
-no OpenBLAS is mapped (or /proc is missing) these functions do nothing.
+every reduction's order, hence every digit, the same on each path.  The
+count is set in the calling process before a pool forks, and the workers
+inherit it.  They never call a setter themselves: OpenBLAS's fork handler
+stops its thread server in the child, and a later setter call there starts
+a new server thread that busy-waits beside the jobs.  Where no OpenBLAS is
+mapped (or /proc is missing) these functions do nothing.
 """
 
 from __future__ import annotations
@@ -54,12 +58,6 @@ def _openblas() -> dict[str, tuple[Callable[[], int], Callable[[int], None]]]:
 def blas_threads() -> dict[str, int]:
     """Current thread count of each loaded OpenBLAS, by library file name."""
     return {name: int(get()) for name, (get, _) in _openblas().items()}
-
-
-def pin_blas_threads() -> None:
-    """Set every loaded OpenBLAS to one thread (a worker initializer)."""
-    for _, set_threads in _openblas().values():
-        set_threads(1)
 
 
 @contextmanager

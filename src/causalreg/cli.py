@@ -218,7 +218,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError(f"--seed {seed}: seed must be non-negative")
     check_block_size(model, args.n, f"--n {args.n}")
     data = simulate(model, args.n, seed)
-    _write(data.to_csv(), args.output)
+    if args.output:
+        with open(args.output, "w") as out:
+            data.write_csv(out)
+    else:
+        data.write_csv(sys.stdout)
     return EXIT_OK
 
 

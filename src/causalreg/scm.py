@@ -17,7 +17,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 import numpy as np
 from scipy.special import expit
@@ -56,6 +56,8 @@ ORACLE_MIN_N = 100_000
 # from the machine, so that a request gets the same verdict everywhere; it
 # admits a 10^6-row oracle of a 33-node model.
 MAX_BLOCK_BYTES = 512 * 2**20
+# Rows that Dataset.write_csv formats per write.
+_CSV_BLOCK_ROWS = 10_000
 
 
 class ModelParseError(ValueError):
@@ -414,12 +416,21 @@ class Dataset:
             raise KeyError(f"no column {name!r}") from None
         return self.data[:, j]
 
+    def write_csv(self, out: TextIO) -> None:
+        """The header, then the rows as ``repr`` of each value, to ``out``.
+
+        Rows go out in blocks of ``_CSV_BLOCK_ROWS``, so the text of a large
+        dataset is never held whole.  A ``repr`` holds no comma, quote or
+        newline, so joining is what ``csv.writer`` would write.
+        """
+        csv.writer(out, lineterminator="\n").writerow(self.names)
+        for start in range(0, self.n, _CSV_BLOCK_ROWS):
+            block = self.data[start:start + _CSV_BLOCK_ROWS].tolist()
+            out.write("".join(",".join(map(repr, row)) + "\n" for row in block))
+
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.names)
-        for row in self.data:
-            writer.writerow([repr(float(v)) for v in row])
+        self.write_csv(buf)
         return buf.getvalue()
 
     @classmethod

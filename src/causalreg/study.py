@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit
 
-from ._blas import pin_blas_threads, single_blas_thread
+from ._blas import single_blas_thread
 from ._shared import NumericalError
 from .estimators import DesignSpec, FitError, irls, ols, stacked_design
 from .fixtures import MODEL_FIXTURES, model_fixture
@@ -419,20 +419,23 @@ def _dispatch(jobs: list[tuple[Callable, tuple]], workers: int) -> list:
     The jobs run in this process when one worker suffices, otherwise on a
     process pool of at most ``workers`` processes, one per core and one
     per job at most (the fork start method launches the whole pool on the
-    first submit).  Either way they run with one BLAS thread; this
+    first submit).  Either way they run with one BLAS thread, set here
+    before the pool forks so that workers inherit it: OpenBLAS's fork
+    handler stops its thread server in the child, and any setter call
+    there would start a server thread that spins beside the jobs.  This
     process gets its previous thread counts back afterwards.
     """
     size = min(workers, os.cpu_count() or 1, len(jobs))
-    if size <= 1:
-        with single_blas_thread():
+    with single_blas_thread():
+        if size <= 1:
             return [fn(*args) for fn, args in jobs]
-    with ProcessPoolExecutor(max_workers=size, initializer=pin_blas_threads) as pool:
-        futures = [pool.submit(fn, *args) for fn, args in jobs]
-        try:
-            return [future.result() for future in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            futures = [pool.submit(fn, *args) for fn, args in jobs]
+            try:
+                return [future.result() for future in futures]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
 
 
 def run_scenario(

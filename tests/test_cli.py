@@ -175,6 +175,15 @@ class TestSimulate:
         assert lines[0] == "L,A,Y"
         assert len(lines) == 6
 
+    def test_output_file_holds_the_stdout_bytes(self, capsys, tmp_path):
+        argv = ("simulate", "--model", "setup7", "--n", "25001", "--seed", "4")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "data.csv"
+        assert run_cli(capsys, *argv, "-o", str(path)) == (0, "", "")
+        assert path.read_text() == out
+        assert len(out.splitlines()) == 25002
+
     def test_intervention_fixes_column(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--model", "setup1", "--n", "4", "--seed", "1",

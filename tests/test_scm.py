@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -24,6 +26,7 @@ from causalreg import (
     simulate_block,
     true_effect,
 )
+from causalreg import scm
 from causalreg.fixtures import MODEL_FIXTURES
 from causalreg.scm import MAX_BLOCK_BYTES, Expr, NodeSpec, StructuralModel, Term
 
@@ -277,6 +280,17 @@ class TestSimulate:
         back = Dataset.from_csv(data.to_csv())
         assert back.names == data.names
         assert np.array_equal(back.data, data.data)
+
+    @pytest.mark.parametrize("rows", [0, 1, 6, 7])
+    def test_csv_blocks_write_what_csv_writer_writes(self, monkeypatch, rows):
+        monkeypatch.setattr(scm, "_CSV_BLOCK_ROWS", 3)
+        values = np.array([[-0.0, 1e-300, math.inf], [math.nan, 2.5, -1e17]] * 4)
+        data = Dataset(("a", "b c", "d,e"), values[:rows])
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(data.names)
+        writer.writerows([repr(float(v)) for v in row] for row in data.data)
+        assert data.to_csv() == buf.getvalue()
 
 
 class TestSimulateBlock:

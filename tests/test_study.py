@@ -1,6 +1,8 @@
 import json
+import os
 from concurrent.futures import Future
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +40,15 @@ def small_config(scenario_ids=("setup1",), replications=25, n=300, seed=5):
         seed=seed,
         oracle_n=100_000,
     )
+
+
+def _os_threads():
+    """OS threads of the calling process (a pool job)."""
+    return len(os.listdir("/proc/self/task"))
+
+
+def _raise_value_error():
+    raise ValueError("job failed")
 
 
 class TestConfig:
@@ -409,6 +420,22 @@ class TestKernel:
         seen += study._dispatch([(blas_threads, ())], workers=1)
         for counts in seen:
             assert counts and set(counts.values()) == {1}
+        assert blas_threads() == before
+
+    def test_pool_workers_start_no_blas_thread(self, monkeypatch):
+        # A worker that set its own BLAS count after the fork would start a
+        # spinning OpenBLAS server thread per loaded library.
+        if not Path("/proc/self/task").is_dir() or not blas_threads():
+            pytest.skip("no /proc or no OpenBLAS loaded")
+        monkeypatch.setattr(study.os, "cpu_count", lambda: 2)
+        seen = study._dispatch([(_os_threads, ())] * 2, workers=2)
+        assert seen == [1, 1]
+
+    def test_blas_counts_come_back_when_a_pool_job_raises(self, monkeypatch):
+        monkeypatch.setattr(study.os, "cpu_count", lambda: 2)
+        before = blas_threads()
+        with pytest.raises(ValueError, match="job failed"):
+            study._dispatch([(_raise_value_error, ()), (abs, (-1,))], workers=2)
         assert blas_threads() == before
 
     def test_pool_never_exceeds_cores_or_jobs(self, monkeypatch):

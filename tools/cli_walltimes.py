@@ -47,6 +47,9 @@ COMMANDS = {
                        "--n", "1000000"],
     "study": ["-m", "causalreg", "study", "--seed", "7", "--runs", "100",
               "--n", "1000"],
+    # The fresh-process twin of perfbench panel's workers=2 pass.
+    "study_w2": ["-m", "causalreg", "study", "--seed", "7", "--runs", "100",
+                 "--n", "1000", "--workers", "2"],
     # The desk panel: 10 scenarios × 1000 replications of n=1000.
     "study_desk_w1": ["-m", "causalreg", "study", "--seed", "7", "--runs", "1000",
                       "--n", "1000", "--workers", "1"],
