@@ -101,17 +101,10 @@ class Dag:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dag):
             return NotImplemented
-        return frozenset(self.nodes) == frozenset(other.nodes) and self.edges == other.edges
+        return (self.node_set, self.edges) == (other.node_set, other.edges)
 
     def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((frozenset(self.nodes), self.edges))
-            self.__dict__["_hash"] = cached
-        return cached
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.node_set
+        return hash((self.node_set, self.edges))
 
     @cached_property
     def node_set(self) -> frozenset[str]:

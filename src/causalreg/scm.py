@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import math
 import re
 from dataclasses import dataclass
@@ -129,17 +128,14 @@ class Expr:
     def variables(self) -> frozenset[str]:
         return frozenset(n for t in self.terms for n in t.names)
 
-    def evaluate(
-        self, columns: dict[str, np.ndarray], shape: int | tuple[int, ...] | None = None
-    ) -> np.ndarray | np.float64:
+    def evaluate(self, columns: dict[str, np.ndarray]) -> np.ndarray | np.float64:
         """The value over the columns, kept only over the axes it varies on:
         a scalar until the first term that references a column whose value
-        is an array, then the broadcast shape of the terms.  With ``shape``
-        it is broadcast to that shape (a read-only view)."""
+        is an array, then the broadcast shape of the terms."""
         # Term by term, in the order the model states them, from 0.0; a
         # product starts from its coefficient.  IEEE addition and
         # multiplication commute, so whichever operand holds the sum, every
-        # float is the one that a sum over np.zeros(shape) gives.
+        # float is the one that a sum over zeros of the result's shape gives.
         total = 0.0
         for t in self.terms:
             if not t.names:
@@ -152,7 +148,7 @@ class Expr:
                      else _into(np.add, value, total))
         if self.logistic:
             total = expit(total, out=total) if isinstance(total, np.ndarray) else expit(total)
-        return total if shape is None else np.broadcast_to(total, shape)
+        return total
 
     def render(self) -> str:
         if not self.terms:
@@ -427,11 +423,6 @@ class Dataset:
         for start in range(0, self.n, _CSV_BLOCK_ROWS):
             block = self.data[start:start + _CSV_BLOCK_ROWS].tolist()
             out.write("".join(",".join(map(repr, row)) + "\n" for row in block))
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
 
     @classmethod
     def from_columns(cls, columns: dict[str, np.ndarray]) -> "Dataset":

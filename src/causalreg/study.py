@@ -22,7 +22,7 @@ import io
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -55,7 +55,6 @@ __all__ = [
     "BiasReport",
     "StudyError",
     "default_study_config",
-    "run_scenario",
     "run_study",
     "render_bias_table",
     "estimates_csv",
@@ -371,18 +370,14 @@ def _fit(
     return [(rep, *result) for rep, result in zip(reps, results)]
 
 
-def _oracle_key(scenario: Scenario) -> tuple[str, str, str, str]:
-    """The model, exposure, outcome and estimand of a scenario's oracle."""
-    return (scenario.model, scenario.target, scenario.design.outcome, scenario.estimand)
-
-
 def _aggregate(
     scenario: Scenario,
     config: StudyConfig,
     results: Batch,
     truth: tuple[float, str],
 ) -> tuple[ScenarioResult, tuple[tuple[int, float], ...]]:
-    results.sort(key=lambda item: item[0])
+    """The scenario's row and estimates from its ``results``, which come in
+    replication order: ranges in job order, each in replication order."""
     estimates = [(rep, v) for rep, v, _ in results if v is not None]
     failures = [(rep, msg) for rep, v, msg in results if v is None]
     if len(failures) > MAX_FAILURE_FRACTION * config.replications:
@@ -438,13 +433,6 @@ def _dispatch(jobs: list[tuple[Callable, tuple]], workers: int) -> list:
                 raise
 
 
-def run_scenario(
-    scenario: Scenario, config: StudyConfig
-) -> ScenarioResult:
-    """Run one scenario in this process."""
-    return run_study(replace(config, scenarios=(scenario,))).results[0]
-
-
 def _range_size(config: StudyConfig, models: list[StructuralModel], lanes: int) -> int:
     """Replications per job: enough to give each of ``lanes`` workers a
     range, at most ``MAX_CHUNK_ROWS`` rows (at least one replication), and
@@ -474,20 +462,21 @@ def run_study(config: StudyConfig, workers: int = 1) -> BiasReport:
     Each scenario's model is resolved and checked once, and one
     replication of it and its oracle's two arms are checked against the
     simulation budget (:func:`check_block_size`), all before any job runs.
-    One job list holds a ``true_effect`` job per distinct oracle, first so
-    that the n=10^6 oracle overlaps the replications, then one job per
-    range of consecutive replications (:func:`_range_size`), each of
-    which runs every scenario over its range, simulating each distinct
-    model once.  A range error stops the study, naming the first scenario
-    in config order that failed, at its lowest failing replication; it
-    wins over any scenario's too many failed fits.
+    One job list holds a ``true_effect`` job per distinct oracle (resolved
+    model, exposure, outcome, estimand), first so that the n=10^6 oracle
+    overlaps the replications, then one job per range of consecutive
+    replications (:func:`_range_size`), each of which runs every scenario
+    over its range, simulating each distinct model once.  A range error
+    stops the study, naming the first scenario in config order that
+    failed, at its lowest failing replication; it wins over any
+    scenario's too many failed fits.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     if not config.scenarios:
         return BiasReport(config=config, results=(), estimates={})
     models = [s.resolve_model() for s in config.scenarios]
-    oracles: dict[tuple[str, str, str, str], StructuralModel] = {}
+    oracle_of: dict[str, tuple[StructuralModel, str, str, str]] = {}
     groups: dict[StructuralModel, list[Scenario]] = {}
     for scenario, model in zip(config.scenarios, models):
         where = f"scenario {scenario.id!r}"
@@ -496,12 +485,13 @@ def run_study(config: StudyConfig, workers: int = 1) -> BiasReport:
         if scenario.true_value is None:
             check_block_size(model, 2 * config.oracle_n,
                              f"{where}: oracle_n {config.oracle_n} in each of two arms")
-            oracles.setdefault(_oracle_key(scenario), model)
+            oracle_of[scenario.id] = (model, scenario.target, scenario.design.outcome,
+                                      scenario.estimand)
         groups.setdefault(model, []).append(scenario)
+    oracles = list(dict.fromkeys(oracle_of.values()))
     chunk = _range_size(config, models, min(workers, os.cpu_count() or 1))
     jobs: list[tuple[Callable, tuple]] = [
-        (true_effect, (model, *key[1:], config.oracle_n, config.seed))
-        for key, model in oracles.items()
+        (true_effect, (*key, config.oracle_n, config.seed)) for key in oracles
     ]
     for start in range(0, config.replications, chunk):
         reps = range(start, min(start + chunk, config.replications))
@@ -520,7 +510,7 @@ def run_study(config: StudyConfig, workers: int = 1) -> BiasReport:
         if scenario.true_value is not None:
             truth = (float(scenario.true_value), "exact")
         else:
-            truth = (truths[_oracle_key(scenario)], "oracle")
+            truth = (truths[oracle_of[scenario.id]], "oracle")
         batch = [item for batches in ranges for item in batches[scenario.id]]
         result, values = _aggregate(scenario, config, batch, truth)
         results.append(result)

@@ -97,6 +97,16 @@ class TestParse:
         dag = parse_dag("B -> A\nC\nA -> D")
         assert parse_dag(serialize_dag(dag)) == dag
 
+    def test_identity_is_the_node_set_and_the_edges(self):
+        edges = (("L", "A"), ("A", "Y"))
+        dag = Dag(("L", "A", "Y"), edges)
+        reordered = Dag(("Y", "L", "A"), reversed(edges))
+        wider = Dag(("L", "A", "Y"), (*edges, ("L", "Y")))
+        assert reordered == dag and hash(reordered) == hash(dag)
+        assert {dag, reordered} == {dag}
+        assert wider != dag
+        assert len({dag, reordered, wider}) == 2
+
     @given(small_dags())
     def test_serialize_round_trip_property(self, dag):
         assert parse_dag(serialize_dag(dag)) == dag

@@ -37,7 +37,7 @@ PACKAGE_NAMES = (
     "SimulationError", "StructuralModel", "intervene", "parse_expr", "parse_model",
     "simulate", "simulate_block", "true_effect",
     "BiasReport", "Scenario", "StudyConfig", "StudyError", "default_study_config",
-    "render_bias_table", "run_scenario", "run_study",
+    "render_bias_table", "run_study",
     "MeasureReport", "StratifiedTable", "effect_measure", "load_table_csv",
     "marginalize", "risk",
     "estimators", "fixtures", "graph", "ident", "missing", "scm", "study", "tables",

@@ -18,12 +18,11 @@ from causalreg import (
     default_study_config,
     logistic_fit,
     ols_fit,
-    run_scenario,
     run_study,
     simulate,
     true_effect,
 )
-from causalreg import scm, study
+from causalreg import fixtures, scm, study
 from causalreg._blas import blas_threads
 from causalreg.study import estimates_csv, render_bias_table
 
@@ -128,12 +127,6 @@ class TestRun:
         entry = report.result("setup3")
         assert entry.bias == pytest.approx(entry.mean_estimate - entry.true_value)
 
-    def test_run_scenario_matches_run_study(self):
-        config = small_config(("setup6_crude",))
-        alone = run_scenario(config.scenarios[0], config)
-        batched = run_study(config).result("setup6_crude")
-        assert alone == batched
-
     def test_logistic_scenario_uses_oracle_truth(self):
         config = small_config(("setup5_crude",), replications=10, n=200)
         report = run_study(config)
@@ -208,11 +201,18 @@ class TestRun:
         config = small_config(
             ("setup1", "setup5_conditional", "setup5_crude"), replications=5, n=200
         )
-        config = replace(config, scenarios=config.scenarios + (inline,))
+        # setup5 spelled as its inline text is the same model, so one oracle.
+        spelled = Scenario(
+            "setup5_spelled", fixtures.MODEL_FIXTURES["setup5"],
+            DesignSpec("Y", ("A", "L")), target="A", estimand="log_MOR",
+        )
+        config = replace(config, scenarios=config.scenarios + (inline, spelled))
         for _ in range(2):
             calls.clear()
-            run_study(config)
+            report = run_study(config)
             assert calls == [("A", "Y", "log_MOR"), ("A", "Y", "ATE")]
+        assert (report.result("setup5_spelled").true_value
+                == report.result("setup5_conditional").true_value)
 
 
 # Fails at replication 3 of seed 0 at n=60, at B, before it draws Z.

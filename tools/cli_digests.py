@@ -16,7 +16,9 @@ same bytes.  The request set:
 - ``study --runs 40 --n 300 --seed 7`` at workers 1 and 2, as JSON
   and as text, and a config file with a label-less ``log_MOR``
   scenario and a ``"label": null`` one;
-- two rounds of the benchmark's ``query_stream(11, ...)``.
+- two rounds of the benchmark's ``query_stream(11, ...)``;
+- ``fit --noncompliance`` on a simulated trial, and a study config whose
+  two ``log_MOR`` scenarios name setup5 by fixture and by its text.
 
 Files the requests read are written to a temporary directory, whose
 name is replaced by ``<tmp>`` before digesting.
@@ -63,6 +65,12 @@ CONFIG = {
          "true_value": 1, "design": {"outcome": "Y", "covariates": ["A", "L"]}},
     ],
 }
+MOR = CONFIG["scenarios"][0]
+SPELLED = {**CONFIG, "scenarios": [
+    MOR, {**MOR, "id": "mor_text", "model": fixtures.MODEL_FIXTURES["setup5"]},
+]}
+TRIAL = ("A_assigned ~ bernoulli(0.5)\nA_taken ~ bernoulli(0.1 + 0.8*A_assigned)\n"
+         "Y ~ bernoulli(0.2 + 0.3*A_taken)\n")
 
 
 def run(argv: list[str]) -> tuple[str, str, int]:
@@ -113,6 +121,13 @@ def requests(tmp: Path):
             break
         for query in group:
             yield query.argv
+    (tmp / "trial.model").write_text(TRIAL)
+    stdout, _, _ = run(["simulate", "--model", str(tmp / "trial.model"),
+                        "--n", "400", "--seed", "5"])
+    (tmp / "trial.csv").write_text(stdout)
+    yield ["fit", "--data", str(tmp / "trial.csv"), "--noncompliance"]
+    (tmp / "spelled.json").write_text(json.dumps(SPELLED))
+    yield ["study", "--config", str(tmp / "spelled.json")]
 
 
 def at_one_worker(argv: tuple[str, ...]) -> tuple[str, ...]:
