@@ -21,7 +21,6 @@ __all__ = [
     "UnknownNodeError",
     "hidden_nodes",
     "parse_dag",
-    "serialize_dag",
     "ancestors",
     "descendants",
     "all_paths",
@@ -251,13 +250,6 @@ def parse_dag(text: str) -> Dag:
     return Dag(nodes, edges)
 
 
-def serialize_dag(dag: Dag) -> str:
-    """Canonical text form: sorted node lines, then sorted edge lines."""
-    lines = list(sorted(dag.nodes))
-    lines += [f"{a} -> {b}" for a, b in sorted(dag.edges)]
-    return "\n".join(lines) + "\n"
-
-
 def _reach(step: dict[str, tuple[str, ...]], sources: Iterable[str]) -> frozenset[str]:
     """Nodes one or more ``step`` moves away from some source.
 
@@ -372,15 +364,14 @@ def d_separated(dag: Dag, x: Iterable[str], y: Iterable[str], z: Iterable[str]) 
     against an edge may continue through parents and children unless
     conditioned on, while a state entered along an edge continues to
     children, or back to parents only at (ancestors of) conditioned
-    colliders.  The ancestors of the conditioning set are collected
-    the first time the walk enters a node along an edge.
+    colliders.
     """
     xs, ys, zs = _check_query_sets(dag, x, y, z)
     parents, children = dag.parents, dag.children
+    z_ancestors = zs | _reach(parents, zs)
     ups, downs = list(xs), []  # entered against an edge / along an edge
     up_seen: set[str] = set()
     down_seen: set[str] = set()
-    z_ancestors: frozenset[str] | None = None
     while ups or downs:
         if ups:
             v = ups.pop()
@@ -401,8 +392,6 @@ def d_separated(dag: Dag, x: Iterable[str], y: Iterable[str], z: Iterable[str]) 
             return False
         if v not in zs:
             downs.extend(children[v])
-        if z_ancestors is None:
-            z_ancestors = zs | _reach(parents, zs)
         if v in z_ancestors:
             ups.extend(parents[v])
     return True

@@ -74,9 +74,21 @@ class CausalQuery:
         return descendants(self.dag, self.exposure)
 
     @cached_property
-    def cut_dag(self) -> Dag:
-        """The graph without the exposure's outgoing edges."""
-        return Dag(self.dag.nodes, (e for e in self.dag.edges if e[0] != self.exposure))
+    def causal_nodes(self) -> frozenset[str]:
+        """cn = De(A) ∩ (An(Y) ∪ {Y}): the nodes after A on directed A→Y paths."""
+        return self.exposure_descendants & (ancestors(self.dag, self.outcome) | {self.outcome})
+
+    @cached_property
+    def backdoor_dag(self) -> Dag:
+        """The proper back-door graph: without A's edges into the causal nodes."""
+        return Dag(self.dag.nodes, (e for e in self.dag.edges
+                                    if e[0] != self.exposure or e[1] not in self.causal_nodes))
+
+    @cached_property
+    def conditioned_forbidden(self) -> bool:
+        """Whether a design-conditioned node lies in cn ∪ De(cn): then no set is valid."""
+        cn = self.causal_nodes
+        return not self.conditioned.isdisjoint(cn | descendants(self.dag, *cn))
 
     @cached_property
     def candidates(self) -> frozenset[str]:
@@ -120,10 +132,12 @@ def backdoor_paths(query: CausalQuery) -> list[Path]:
 def satisfies_backdoor(query: CausalQuery, adjustment: Iterable[str]) -> bool:
     """Back-door criterion for a candidate adjustment set.
 
-    True when the set contains no descendant of the exposure and,
-    together with the design-conditioned nodes, d-separates exposure
-    and outcome once the exposure's outgoing edges are removed (Pearl's
-    back-door theorem: the same sets that block every back-door path).
+    True when the set contains no descendant of the exposure, no
+    design-conditioned node lies on a directed exposure-outcome path or
+    descends from one, and the set together with the design-conditioned
+    nodes d-separates exposure and outcome in the proper back-door graph
+    (Perković et al. 2018: the same sets that block every non-causal
+    exposure-outcome path).
     """
     s = frozenset(adjustment)
     if query.exposure in s or query.outcome in s:
@@ -131,9 +145,10 @@ def satisfies_backdoor(query: CausalQuery, adjustment: Iterable[str]) -> bool:
     if not s <= query.measured:
         unknown = sorted(s - query.measured)
         raise IdentError(f"adjustment set contains unmeasured nodes: {unknown}")
-    if not s.isdisjoint(query.exposure_descendants):
+    if not s.isdisjoint(query.exposure_descendants) or query.conditioned_forbidden:
         return False
-    return d_separated(query.cut_dag, {query.exposure}, {query.outcome}, s | query.conditioned)
+    return d_separated(query.backdoor_dag, {query.exposure}, {query.outcome},
+                       s | query.conditioned)
 
 
 def enumerate_adjustment_sets(
@@ -181,7 +196,7 @@ def classify_roles(query: CausalQuery) -> dict[str, NodeRole]:
             on_backdoor.update(p.nodes[1:-1])
         colliders.update(p.nodes[i] for i in p.collider_indices())
 
-    mediators = query.exposure_descendants & ancestors(dag, query.outcome)
+    mediators = query.causal_nodes - {query.outcome}
     desc_of_mediator = descendants(dag, *mediators)
 
     return {

@@ -34,7 +34,6 @@ __all__ = [
     "EffectEstimate",
     "ModelParseError",
     "SimulationError",
-    "parse_expr",
     "parse_model",
     "simulate",
     "simulate_block",
@@ -90,23 +89,6 @@ class Term:
     coef: float
     names: tuple[str, ...] = ()
 
-    def render(self) -> str:
-        if not self.names:
-            return _fmt(self.coef)
-        if len(self.names) == 2 and self.names[0] == self.names[1]:
-            body = f"{self.names[0]}^2"
-        else:
-            body = "*".join(self.names)
-        if self.coef == 1:
-            return body
-        if self.coef == -1:
-            return f"-{body}"
-        return f"{_fmt(self.coef)}*{body}"
-
-
-def _fmt(x: float) -> str:
-    return repr(int(x)) if float(x).is_integer() and abs(x) < 1e15 else repr(x)
-
 
 def _into(op: np.ufunc, out, x):
     """``op(out, x)``, written into ``out`` when it is a writeable array that
@@ -150,17 +132,6 @@ class Expr:
             total = expit(total, out=total) if isinstance(total, np.ndarray) else expit(total)
         return total
 
-    def render(self) -> str:
-        if not self.terms:
-            body = "0"
-        else:
-            parts = [self.terms[0].render()]
-            for t in self.terms[1:]:
-                s = t.render()
-                parts.append(f"- {s[1:]}" if s.startswith("-") else f"+ {s}")
-            body = " ".join(parts)
-        return f"plogis({body})" if self.logistic else body
-
     @classmethod
     def constant(cls, value: float) -> "Expr":
         return cls((Term(float(value)),))
@@ -171,10 +142,6 @@ class NodeSpec:
     name: str
     dist: str  # "normal" | "bernoulli" | "constant"
     params: tuple[Expr, ...]
-
-    def render(self) -> str:
-        args = ", ".join(p.render() for p in self.params)
-        return f"{self.name} ~ {self.dist}({args})"
 
     def referenced(self) -> frozenset[str]:
         return frozenset(n for p in self.params for n in p.variables())
@@ -208,9 +175,6 @@ class StructuralModel:
         ]
         return Dag(self.node_names, edges)
 
-    def render(self) -> str:
-        return "\n".join(spec.render() for spec in self.specs) + "\n"
-
 
 # --- model text parsing ------------------------------------------------------
 
@@ -231,12 +195,12 @@ class _Token(NamedTuple):
 
 
 class _Parser:
-    """Recursive descent over the tokens of one model line or parameter.
+    """Recursive descent over the tokens of one model line.
 
     Each error names the column of the token where reading stopped.
     """
 
-    def __init__(self, text: str, line: int | None):
+    def __init__(self, text: str, line: int):
         self.line = line
         self.tokens: list[_Token] = []
         for m in _TOKEN_RE.finditer(text):
@@ -247,8 +211,6 @@ class _Parser:
             self.tokens.append(_Token(m.lastgroup or "", m.group(), m.start() + 1))
         self.tokens.append(_Token("end", "", len(text) + 1))
         self.i = 0
-        self.node: str | None = None  # set while reading a declaration
-        self.declared: set[str] = set()
 
     def error(self, message: str, token: _Token | None = None) -> ModelParseError:
         return ModelParseError(message, self.line, (token or self.peek()).col)
@@ -269,10 +231,6 @@ class _Parser:
         if self.peek().kind != "ident":
             raise self.error(f"expected {what}")
         return self.take()
-
-    def finish(self, what: str) -> None:
-        if self.peek().kind != "end":
-            raise self.error(f"trailing input after {what}")
 
     def declaration(self, declared: set[str]) -> NodeSpec:
         """``node ~ dist(param, ...)``; parameters may reference only ``declared``."""
@@ -298,7 +256,8 @@ class _Parser:
             raise self.error(
                 f"{dist.text} takes {arity} argument(s), got {len(params)}", close
             )
-        self.finish("declaration")
+        if self.peek().kind != "end":
+            raise self.error("trailing input after declaration")
         return NodeSpec(node.text, dist.text, tuple(params))
 
     def parameter(self) -> Expr:
@@ -355,19 +314,11 @@ class _Parser:
             raise self.error(
                 f"unknown function {token.text!r}; only plogis is supported", token
             )
-        if self.node is not None and token.text not in self.declared:
+        if token.text not in self.declared:
             raise self.error(
                 f"{self.node!r} references {token.text!r} before its declaration", token
             )
         return token.text
-
-
-def parse_expr(text: str, line: int | None = None) -> Expr:
-    """Parse a parameter expression such as ``plogis(-0.5 + 2*L)``."""
-    parser = _Parser(text, line)
-    expr = parser.parameter()
-    parser.finish("expression")
-    return expr
 
 
 def parse_model(text: str) -> StructuralModel:

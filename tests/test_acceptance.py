@@ -143,6 +143,8 @@ def test_criterion_2_graph_fixture_suite():
         assert not d_separated(fig4c, {"A"}, {"Y"}, {"C"})
         roles4c = classify_roles(_query("fig4c", conditioned={"C"}))
         assert roles4c["C"].collider_on_ay_path
+        # C opens A -> C <- L <- U -> Y, so only L blocks it.
+        assert minimal("fig4c", conditioned={"C"}) == [("L",)]
         roles4d = classify_roles(_query("fig4d"))
         assert roles4d["L2"].collider_on_ay_path
         assert roles4d["L2"].mediator

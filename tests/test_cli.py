@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from causalreg import scm, study
+from causalreg import parse_dag, parse_model, scm, study
 from causalreg.cli import main, validate_report, ReportSchemaError
 
 
@@ -45,6 +45,30 @@ class TestAnalyze:
         )
         assert code == 0
         assert doc["adjustment_sets"] == [["L1"], ["L2"]]
+
+    def test_selection_on_a_descendant_of_the_exposure_lists_no_set(self, capsys, tmp_path):
+        # S is caused by A and by U, which also causes Y: selecting on S
+        # opens A -> S <- U -> Y, which no measured set can block.  The
+        # simulation agrees: the regression of Y on A among S = 1 is biased.
+        model = ("U ~ normal(0, 1)\nA ~ bernoulli(0.5)\nY ~ normal(A + 2*U, 1)\n"
+                 "S ~ bernoulli(plogis(-1 + 2*A + 2*U))\n")
+        dag = "A -> Y\nA -> S\nU -> S\nU -> Y\n"
+        assert parse_model(model).induced_dag() == parse_dag(dag)
+        (tmp_path / "selection.dag").write_text(dag)
+        code, doc, _ = run_json(
+            capsys, "analyze", "--dag", str(tmp_path / "selection.dag"), "--exposure", "A",
+            "--outcome", "Y", "--unmeasured", "U", "--conditioned", "S",
+        )
+        assert (code, doc["adjustment_sets"]) == (2, [])
+        config = {"replications": 20, "sample_size": 500, "seed": 3, "scenarios": [
+            {"id": "selected", "model": model, "target": "A", "true_value": 1,
+             "require_ones": ["S"], "design": {"outcome": "Y", "covariates": ["A"]}},
+        ]}
+        (tmp_path / "selection.json").write_text(json.dumps(config))
+        code, doc, _ = run_json(capsys, "study", "--config", str(tmp_path / "selection.json"))
+        (entry,) = doc["scenarios"]
+        assert code == 0 and entry["failures"] == 0
+        assert abs(entry["bias"]) > 5 * entry["mc_se"]
 
     def test_dag_file_input(self, capsys, tmp_path):
         path = tmp_path / "graph.dag"

@@ -27,14 +27,14 @@ PACKAGE_NAMES = (
     "dag_fixture", "mdag_fixture", "model_fixture", "table_fixture",
     "CycleError", "Dag", "DagParseError", "GraphError", "Path", "UnknownNodeError",
     "all_paths", "ancestors", "d_separated", "d_separated_by_enumeration",
-    "descendants", "parse_dag", "path_blocked", "serialize_dag",
+    "descendants", "parse_dag", "path_blocked",
     "CausalQuery", "backdoor_paths", "classify_roles", "enumerate_adjustment_sets",
     "satisfies_backdoor",
     "G_MAR", "G_MCAR", "G_MNAR", "MDag", "MechanismVerdict", "classify_mechanism",
     "complete_case_valid", "implied_independencies", "missingness_report",
     "parse_mdag",
     "ATE", "LOG_MOR", "Dataset", "EffectEstimate", "Expr", "ModelParseError",
-    "SimulationError", "StructuralModel", "intervene", "parse_expr", "parse_model",
+    "SimulationError", "StructuralModel", "intervene", "parse_model",
     "simulate", "simulate_block", "true_effect",
     "BiasReport", "Scenario", "StudyConfig", "StudyError", "default_study_config",
     "render_bias_table", "run_study",

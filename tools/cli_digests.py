@@ -18,7 +18,10 @@ same bytes.  The request set:
   scenario and a ``"label": null`` one;
 - two rounds of the benchmark's ``query_stream(11, ...)``;
 - ``fit --noncompliance`` on a simulated trial, and a study config whose
-  two ``log_MOR`` scenarios name setup5 by fixture and by its text.
+  two ``log_MOR`` scenarios name setup5 by fixture and by its text;
+- ``analyze`` with ``--conditioned``, plain and with ``--minimal``:
+  fig4c on C, fig8a-fig8c on S, fig8d on S1,S2, and a selection DAG
+  (``A -> Y``, ``A -> S``, ``U -> S``, ``U -> Y``) on S with U unmeasured.
 
 Files the requests read are written to a temporary directory, whose
 name is replaced by ``<tmp>`` before digesting.
@@ -69,6 +72,10 @@ MOR = CONFIG["scenarios"][0]
 SPELLED = {**CONFIG, "scenarios": [
     MOR, {**MOR, "id": "mor_text", "model": fixtures.MODEL_FIXTURES["setup5"]},
 ]}
+CONDITIONED = [("fig4c", ["--conditioned", "C"]), ("fig8a", ["--conditioned", "S"]),
+               ("fig8b", ["--conditioned", "S"]), ("fig8c", ["--conditioned", "S"]),
+               ("fig8d", ["--conditioned", "S1,S2"])]
+SELECTION_DAG = "A -> Y\nA -> S\nU -> S\nU -> Y\n"
 TRIAL = ("A_assigned ~ bernoulli(0.5)\nA_taken ~ bernoulli(0.1 + 0.8*A_assigned)\n"
          "Y ~ bernoulli(0.2 + 0.3*A_taken)\n")
 
@@ -128,6 +135,12 @@ def requests(tmp: Path):
     yield ["fit", "--data", str(tmp / "trial.csv"), "--noncompliance"]
     (tmp / "spelled.json").write_text(json.dumps(SPELLED))
     yield ["study", "--config", str(tmp / "spelled.json")]
+    (tmp / "selection.dag").write_text(SELECTION_DAG)
+    selection = (str(tmp / "selection.dag"), ["--unmeasured", "U", "--conditioned", "S"])
+    for dag, flags in CONDITIONED + [selection]:
+        argv = ["analyze", "--dag", dag, "--exposure", "A", "--outcome", "Y", *flags]
+        yield argv
+        yield argv + ["--minimal"]
 
 
 def at_one_worker(argv: tuple[str, ...]) -> tuple[str, ...]:
