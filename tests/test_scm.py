@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -145,33 +146,51 @@ def _param_texts(draw, names):
 @st.composite
 def _model_texts(draw):
     """Model text over the first 1-4 of ``_NODES``: (text, each law's
-    parameter texts)."""
-    lines, params = [], []
+    name, distribution and parameter texts)."""
+    lines, laws = [], []
     names = _NODES[: draw(st.integers(1, 4))]
     for i, name in enumerate(names):
         dist, arity = draw(st.sampled_from([("normal", 2), ("bernoulli", 1)]))
         texts = [draw(_param_texts(names[:i])) for _ in range(arity)]
         lines.append(f"{name} ~ {dist}({', '.join(texts)})\n")
-        params.append(texts)
-    return "".join(lines), params
+        laws.append((name, dist, texts))
+    return "".join(lines), laws
+
+
+def _assert_reads_as_python(model, laws, seed):
+    """``model`` declares ``laws`` in order, and every parameter evaluates on
+    random columns as Python evaluates its text (``^2`` as ``**2``,
+    ``plogis`` as ``expit``)."""
+    assert [(spec.name, spec.dist) for spec in model.specs] == [law[:2] for law in laws]
+    rng = np.random.default_rng(seed)
+    columns = {name: rng.standard_normal(8) for name in model.node_names}
+    with np.errstate(all="ignore"):
+        for spec, (_, _, texts) in zip(model.specs, laws, strict=True):
+            for param, param_text in zip(spec.params, texts, strict=True):
+                python_text = param_text.replace("^2", "**2").replace("plogis", "expit")
+                expected = eval(python_text, {"expit": expit}, dict(columns))
+                np.testing.assert_allclose(
+                    np.broadcast_to(param.evaluate(columns), (8,)),
+                    np.broadcast_to(expected, (8,)), rtol=1e-12, equal_nan=True,
+                )
 
 
 class TestGrammar:
+    @given(_param_texts(_NODES[:3]), st.integers(0, 2**32 - 1))
+    def test_expr_render_round_trip(self, text, seed):
+        """One parameter's text, read back through ``parse_model``, is the
+        expression Python reads in it."""
+        laws = [(name, "normal", ["0", "1"]) for name in _NODES[:3]]
+        laws.append(("X", "normal", [text, "1"]))
+        model_text = "".join(f"{n} ~ {d}({', '.join(p)})\n" for n, d, p in laws)
+        _assert_reads_as_python(parse_model(model_text), laws, seed)
+
     @given(_model_texts(), st.integers(0, 2**32 - 1))
-    def test_parameters_evaluate_as_python_reads_their_text(self, model_text, seed):
-        text, params = model_text
-        model = parse_model(text)
-        rng = np.random.default_rng(seed)
-        columns = {name: rng.standard_normal(8) for name in model.node_names}
-        with np.errstate(all="ignore"):
-            for spec, texts in zip(model.specs, params, strict=True):
-                for param, param_text in zip(spec.params, texts, strict=True):
-                    python_text = param_text.replace("^2", "**2").replace("plogis", "expit")
-                    expected = eval(python_text, {"expit": expit}, dict(columns))
-                    np.testing.assert_allclose(
-                        np.broadcast_to(param.evaluate(columns), (8,)),
-                        np.broadcast_to(expected, (8,)), rtol=1e-12, equal_nan=True,
-                    )
+    def test_model_render_round_trip(self, model_text, seed):
+        """Model text read back through ``parse_model`` declares the laws it
+        was written from, each parameter as Python reads it."""
+        text, laws = model_text
+        _assert_reads_as_python(parse_model(text), laws, seed)
 
     @pytest.mark.parametrize("param, offset, message", [
         ("1e999", 0, "non-finite coefficient inf"),
@@ -233,6 +252,16 @@ class TestModelParsing:
     def test_duplicate_node(self):
         with pytest.raises(ModelParseError, match="duplicate node"):
             parse_model("X ~ normal(0, 1)\nX ~ normal(1, 1)\n")
+
+    def test_render_round_trip(self):
+        """The fixtures' text, read back through ``parse_model``, declares the
+        laws written in it, each parameter as Python reads it."""
+        for name in ("setup1", "setup3", "setup5", "setup7"):
+            laws = []
+            for line in MODEL_FIXTURES[name].splitlines():
+                node, dist, args = re.fullmatch(r"(\w+) ~ (\w+)\((.*)\)", line).groups()
+                laws.append((node, dist, args.split(", ")))
+            _assert_reads_as_python(model_fixture(name), laws, seed=0)
 
     @pytest.mark.parametrize(
         "model_name,dag_name",
