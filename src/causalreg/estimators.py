@@ -96,6 +96,10 @@ class DesignSpec:
         for pair in self.interactions:
             if len(pair) != 2:
                 raise ValueError(f"interactions look like A:B, got {':'.join(pair)!r}")
+        terms = {*self.covariates, *(v for pair in self.interactions for v in pair),
+                 *self.squares}
+        if self.outcome in terms:
+            raise ValueError(f"outcome {self.outcome!r} cannot also be a design term")
         names = self.column_names()
         # A:B and B:A are one column, and so are A:A and A^2.
         products = [tuple(sorted(p)) for p in self.interactions]
@@ -213,7 +217,12 @@ def _screen(
     if binary:
         for i in np.flatnonzero(~np.isin(y, (0.0, 1.0)).all(axis=1)):
             out[i] = NotBinaryError(spec.outcome)
-    r = _qr_r(np.concatenate((X, y[:, :, None]), axis=2))
+    # [X | y] with each problem column-major, as LAPACK reads it, so that
+    # numpy's copy into LAPACK's buffer is a contiguous one.
+    xy = np.empty((reps, p + 1, n))
+    xy[:, :p] = np.swapaxes(X, 1, 2)
+    xy[:, p] = y
+    r = _qr_r(np.swapaxes(xy, 1, 2))
     rx = r[:, :p, :p]
     finite = np.isfinite(rx).all(axis=(1, 2))
     sigma = np.linalg.svd(np.where(finite[:, None, None], rx, 0.0), compute_uv=False)
@@ -259,9 +268,9 @@ def ols(X: np.ndarray, y: np.ndarray, spec: DesignSpec) -> list[FitResult | FitE
     return out
 
 
-def _fit_one(fitter, data: Dataset, spec: DesignSpec) -> FitResult:
-    """A stacked fitter on one dataset: its FitResult, or its FitError raised."""
-    X, y = design_matrix(data, spec)
+def _fit_one(fitter, X: np.ndarray, y: np.ndarray, spec: DesignSpec) -> FitResult:
+    """A stacked fitter on one design X (n, p), y (n,): its FitResult, or
+    its FitError raised."""
     fit = fitter(X[None], y[None], spec)[0]
     if isinstance(fit, FitError):
         raise fit
@@ -270,7 +279,7 @@ def _fit_one(fitter, data: Dataset, spec: DesignSpec) -> FitResult:
 
 def ols_fit(data: Dataset, spec: DesignSpec) -> FitResult:
     """Least squares with classical SEs: :func:`ols` on one dataset."""
-    return _fit_one(ols, data, spec)
+    return _fit_one(ols, *design_matrix(data, spec), spec)
 
 
 def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -291,8 +300,22 @@ def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _information(X: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """X' W X for each problem of a stack, with W = diag(p (1 - p))."""
-    return np.swapaxes(X, 1, 2) @ ((probs * (1 - probs))[:, :, None] * X)
+    """X' W X for each problem of a stack, with W = diag(p (1 - p)).
+
+    W X is formed one column at a time: a broadcast over the short last
+    axis of X would run an inner loop of length p over every row.
+    """
+    w = probs * (1 - probs)
+    wx = np.empty(X.shape)
+    for j in range(X.shape[2]):
+        np.multiply(w, X[:, :, j], out=wx[:, :, j])
+    return np.swapaxes(X, 1, 2) @ wx
+
+
+def _saturated(ones: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Per entry, whether a fitted probability is within
+    SEPARATION_PROB_EPS of its observed class."""
+    return np.where(ones, probs > 1 - SEPARATION_PROB_EPS, probs < SEPARATION_PROB_EPS)
 
 
 def irls(
@@ -332,10 +355,12 @@ def irls(
 
         coef_norms = np.linalg.norm(beta[live], axis=1)
         diverged = solved & (coef_norms > SEPARATION_COEF_NORM)
-        saturated = solved & ~diverged & both_classes & np.all(
-            np.where(ones, probs > 1 - SEPARATION_PROB_EPS, probs < SEPARATION_PROB_EPS),
-            axis=1,
-        )
+        # Saturated means every fitted probability sits at its own class's
+        # end.  Row 0 is tested first, so that only the problems it passes
+        # are scanned whole.
+        saturated = solved & ~diverged & both_classes & _saturated(ones[:, 0], probs[:, 0])
+        maybe = np.flatnonzero(saturated)
+        saturated[maybe] = _saturated(ones[maybe], probs[maybe]).all(axis=1)
         for k in np.flatnonzero(diverged):
             out[live[k]] = SeparationError(
                 f"separation suspected: coefficient norm {coef_norms[k]:.3g} "
@@ -349,9 +374,8 @@ def irls(
         converged = running & (step_norms < IRLS_TOL)
         if converged.any():
             eye = np.broadcast_to(np.eye(p), (int(converged.sum()), p, p))
-            covs, invertible = _solve_each(
-                _information(X[converged], probs[converged]), eye
-            )
+            done = (X, probs) if converged.all() else (X[converged], probs[converged])
+            covs, invertible = _solve_each(_information(*done), eye)
             for k, cov, ok in zip(np.flatnonzero(converged), covs, invertible):
                 i = live[k]
                 if not ok:
@@ -380,7 +404,7 @@ def irls(
 def logistic_fit(data: Dataset, spec: DesignSpec) -> FitResult:
     """Logistic regression by iteratively reweighted least squares:
     :func:`irls` on one dataset."""
-    return _fit_one(irls, data, spec)
+    return _fit_one(irls, *design_matrix(data, spec), spec)
 
 
 @dataclass(frozen=True)
@@ -408,8 +432,8 @@ def positivity_check(
     if not 0 <= threshold < 0.5:
         raise ValueError("threshold must lie in [0, 0.5)")
     spec = DesignSpec(outcome=exposure, covariates=tuple(covariates))
-    fit = logistic_fit(data, spec)
-    X, _ = design_matrix(data, spec)
+    X, y = design_matrix(data, spec)
+    fit = _fit_one(irls, X, y, spec)
     probs = expit(X @ np.asarray(fit.coefficients))
     below = probs < threshold
     above = probs > 1 - threshold

@@ -345,11 +345,13 @@ def parse_model(text: str) -> StructuralModel:
 @dataclass(frozen=True, eq=False)
 class Dataset:
     names: tuple[str, ...]
-    data: np.ndarray  # (n, len(names)) float64
+    # (n, len(names)) float64, column-major, so that a column is contiguous.
+    data: np.ndarray
 
     def __post_init__(self) -> None:
         if self.data.ndim != 2 or self.data.shape[1] != len(self.names):
             raise ValueError("data shape does not match column names")
+        object.__setattr__(self, "data", np.asfortranarray(self.data))
         self.data.setflags(write=False)
 
     @property
@@ -378,7 +380,11 @@ class Dataset:
     @classmethod
     def from_columns(cls, columns: dict[str, np.ndarray]) -> "Dataset":
         """One column per entry, in the mapping's order."""
-        return cls(tuple(columns), np.column_stack(list(columns.values())))
+        values = list(columns.values())
+        data = np.empty((len(values[0]), len(values)), np.result_type(*values), order="F")
+        for j, col in enumerate(values):
+            data[:, j] = col
+        return cls(tuple(columns), data)
 
     @classmethod
     def from_csv(cls, source: str) -> "Dataset":
@@ -388,7 +394,7 @@ class Dataset:
             [finite_cell(cell, line, name) for name, cell in zip(header, row)]
             for line, row in rows
         ]
-        return cls(header, np.asarray(values, dtype=float))
+        return cls(header, np.array(values, dtype=float, order="F"))
 
 
 def _node_key(node: str) -> int:

@@ -361,6 +361,16 @@ class TestFit:
         assert (code, out, err) == (
             1, "", f"error: {path}: column {column!r} must be binary 0/1\n")
 
+    @pytest.mark.parametrize("flags, outcome", [
+        (("--outcome", "Y", "--covariates", "A,Y"), "Y"),
+        (("--outcome", "Y", "--covariates", "A", "--interactions", "A:Y"), "Y"),
+        (("--positivity", "--exposure", "A", "--covariates", "A"), "A"),
+    ], ids=["covariate", "interaction", "positivity"])
+    def test_outcome_as_design_term_exits_1(self, capsys, csv_path, flags, outcome):
+        code, out, err = run_cli(capsys, "fit", "--data", str(csv_path), *flags)
+        assert (code, out, err) == (
+            1, "", f"error: outcome {outcome!r} cannot also be a design term\n")
+
     def test_noncompliance_report(self, capsys, tmp_path):
         path = tmp_path / "trial.csv"
         path.write_text("A_assigned,A_taken,Y\n1,1,1\n1,1,1\n1,1,0\n1,0,1\n"
@@ -656,6 +666,8 @@ class TestInputErrors:
             "interactions": [["A", "L"], ["L", "A"]]}}),
          "scenario 's': duplicate design terms in "
          "('intercept', 'A', 'L', 'A:L', 'L:A')"),
+        (_STUDY, _one_scenario_config({"design": {"outcome": "Y", "covariates": ["A", "Y"]}}),
+         "scenario 's': outcome 'Y' cannot also be a design term"),
     ], ids=["table_short_row", "table_long_row", "table_inf_weight",
             "table_negative_weight", "model_non_finite_coefficient",
             "mdag_unknown_unmeasured",
@@ -663,7 +675,8 @@ class TestInputErrors:
             "config_scenarios_not_array", "config_negative_seed",
             "config_small_oracle_n", "config_covariates_string",
             "config_model_not_string", "config_interaction_arity",
-            "config_interaction_not_array", "config_interaction_both_orders"])
+            "config_interaction_not_array", "config_interaction_both_orders",
+            "config_outcome_as_covariate"])
     def test_input_file_error_exits_1(self, capsys, tmp_path, command, body, message):
         path = tmp_path / "input"
         path.write_text(body)

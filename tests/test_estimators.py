@@ -75,6 +75,16 @@ class TestDesignSpec:
         with pytest.raises(ValueError, match="interactions look like A:B, got 'A'"):
             DesignSpec("Y", ("A",), interactions=(("A",),))
 
+    @pytest.mark.parametrize("terms", [
+        {"covariates": ("A", "Y")},
+        {"covariates": ("A",), "interactions": (("A", "Y"),)},
+        {"covariates": ("A",), "squares": ("Y",)},
+    ], ids=["covariate", "interaction_member", "square"])
+    def test_outcome_is_no_design_term(self, terms):
+        with pytest.raises(ValueError) as info:
+            DesignSpec("Y", **terms)
+        assert str(info.value) == "outcome 'Y' cannot also be a design term"
+
     def test_interaction_and_square_columns(self):
         data = dataset(A=[1.0, 2.0], L=[3.0, 4.0], Y=[0.0, 0.0])
         spec = DesignSpec("Y", ("A",), interactions=(("A", "L"),), squares=("L",))
@@ -216,6 +226,107 @@ class TestLogistic:
         alone = logistic_fit(logistic_fixture_100, spec)
         assert fits[1].iterations == alone.iterations
         assert fits[1].coefficients == pytest.approx(alone.coefficients, abs=1e-12)
+
+
+def _saturation_stack():
+    """Six logistic problems (n=200): two ordinary ones, one perfectly
+    separated with a gap between its classes (so its fitted probabilities
+    saturate before its coefficients diverge), one whose outcome is all
+    0, and two whose row 0 sits far out at the end of its own class, so
+    that its fitted probability saturates while the other rows' do not."""
+    rng = np.random.default_rng(23)
+    n = 200
+    x = rng.normal(size=(6, n))
+    y = (rng.random((6, n)) < expit(0.3 + x)).astype(float)
+    x[2] += 5 * np.sign(x[2])
+    y[2] = x[2] > 0
+    y[3] = 0.0
+    x[4, 0], y[4, 0] = 40.0, 1.0
+    x[5, 0], y[5, 0] = -40.0, 0.0
+    X = np.stack([np.ones((6, n)), x], axis=-1)
+    return X, y, DesignSpec("y", ("x",))
+
+
+def _bits(a):
+    """The bytes of an array's values, in C order."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestIrlsSaturation:
+    def test_stack_matches_stacks_of_one(self):
+        X, y, spec = _saturation_stack()
+        fits = irls(X, y, spec)
+        assert str(fits[2]) == "perfect separation: fitted probabilities saturated"
+        for k in (0, 1, 4, 5):
+            assert not isinstance(fits[k], FitError)
+        for k, fit in enumerate(fits):
+            alone = irls(X[k:k + 1], y[k:k + 1], spec)[0]
+            assert type(fit) is type(alone)
+            if isinstance(alone, FitError):
+                assert str(fit) == str(alone)
+            else:
+                assert fit == alone
+
+    def test_row_zero_saturated_alone_is_no_separation(self):
+        # Row 0 of problems 4 and 5 passes the row-0 test at the fit, so the
+        # fit went through the whole-problem scan.
+        X, y, spec = _saturation_stack()
+        fits = irls(X, y, spec)
+        eps = est.SEPARATION_PROB_EPS
+        for k in (4, 5):
+            probs = expit(X[k] @ np.asarray(fits[k].coefficients))
+            own_end = np.where(y[k] == 1, probs > 1 - eps, probs < eps)
+            assert own_end[0] and not own_end.all()
+
+
+class TestRewrittenSteps:
+    """Each rewritten step of the fitters against the expression it
+    replaced, bit for bit."""
+
+    @pytest.mark.parametrize("reps, n", [(50, 1000), (1, 200_000)])
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_information(self, reps, n, p):
+        rng = np.random.default_rng(p)
+        X = rng.normal(size=(reps, n, p))
+        probs = rng.random((reps, n))
+        reference = np.swapaxes(X, 1, 2) @ ((probs * (1 - probs))[:, :, None] * X)
+        assert _bits(est._information(X, probs)) == _bits(reference)
+
+    # 200,000 rows are four row blocks of QR_ROW_BLOCK.
+    @pytest.mark.parametrize("reps, n", [(50, 1000), (1, 200_000)])
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    @pytest.mark.parametrize("finite", [True, False], ids=["finite", "non_finite"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_screen_r(self, reps, n, p, finite):
+        rng = np.random.default_rng(10 + p)
+        X = np.concatenate([np.ones((reps, n, 1)), rng.normal(size=(reps, n, p - 1))],
+                           axis=2)
+        y = rng.normal(size=(reps, n))
+        if not finite:
+            X[-1, n // 2, 1] = np.inf
+            X[0, n - 1, p - 1] = np.nan
+            y[reps // 2, 3] = -np.inf
+        spec = DesignSpec("y", tuple(f"x{j}" for j in range(1, p)))
+        r, _ = est._screen(X, y, spec, binary=False)
+        reference = est._qr_r(np.concatenate((X, y[:, :, None]), axis=2))
+        assert _bits(r) == _bits(reference)
+
+    def test_positivity_check(self):
+        data = simulate(model_fixture("setup1"), 200_000, seed=6)
+        spec = DesignSpec("A", ("L",))
+        fit = logistic_fit(data, spec)
+        X, _ = design_matrix(data, spec)
+        probs = expit(X @ np.asarray(fit.coefficients))
+        below, above = probs < 0.01, probs > 0.99
+        reference = {
+            "min_propensity": probs.min(), "max_propensity": probs.max(),
+            "fraction_below": below.mean(), "fraction_above": above.mean(),
+        }
+        report = positivity_check(data, "A", ("L",), threshold=0.01)
+        for field, value in reference.items():
+            assert getattr(report, field).hex() == float(value).hex(), field
+        assert report.flagged_rows == int((below | above).sum())
+        assert (report.n, report.threshold) == (200_000, 0.01)
 
 
 def ols_stack_fixture():

@@ -357,6 +357,42 @@ class TestSimulate:
         assert out.getvalue() == buf.getvalue()
 
 
+class TestDatasetLayout:
+    """A dataset's array is column-major, with the values, shape and CSV
+    text of the row-major array it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(MODEL_FIXTURES))
+    def test_from_columns_equals_column_stack(self, name):
+        block = simulate_block(model_fixture(name), 300, 4, range(2, 3))
+        columns = {node: col[0] for node, col in block.items()}
+        data = Dataset.from_columns(columns)
+        stacked = np.column_stack(list(columns.values()))
+        assert data.data.dtype == stacked.dtype
+        assert np.array_equal(data.data, stacked)
+        assert data.data.flags.f_contiguous
+        for node in data.names:
+            assert data.column(node).flags.c_contiguous
+
+    def test_csv_bytes_are_those_of_the_row_major_array(self):
+        data = simulate(model_fixture("setup7"), 2500, seed=5)
+        buf, out = io.StringIO(), io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(data.names)
+        writer.writerows([repr(v) for v in row]
+                         for row in np.ascontiguousarray(data.data).tolist())
+        data.write_csv(out)
+        assert out.getvalue() == buf.getvalue()
+        assert Dataset.from_csv(out.getvalue()).data.flags.f_contiguous
+
+    def test_row_major_array_is_accepted(self):
+        values = np.arange(12.0).reshape(4, 3)
+        data = Dataset(("a", "b", "c"), values)
+        assert np.array_equal(data.data, values)
+        assert not data.data.flags.writeable
+        assert data.column("b").flags.c_contiguous
+        assert data.column("b").tolist() == [1.0, 4.0, 7.0, 10.0]
+
+
 class TestSimulateBlock:
     @pytest.mark.parametrize("name", sorted(MODEL_FIXTURES))
     @pytest.mark.parametrize("reps", [range(0, 1), range(1, 6), range(37, 41)],
