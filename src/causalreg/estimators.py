@@ -427,11 +427,15 @@ def positivity_check(
     """Propensity-score screen for sparse treatment assignment.
 
     Fits a logistic propensity model and counts rows whose fitted
-    probability falls below the threshold or above one minus it.
+    probability falls below the threshold or above one minus it.  The
+    exposure may not be one of the covariates.
     """
     if not 0 <= threshold < 0.5:
         raise ValueError("threshold must lie in [0, 0.5)")
-    spec = DesignSpec(outcome=exposure, covariates=tuple(covariates))
+    covariates = tuple(covariates)
+    if exposure in covariates:
+        raise ValueError(f"exposure {exposure!r} cannot also be a covariate")
+    spec = DesignSpec(outcome=exposure, covariates=covariates)
     X, y = design_matrix(data, spec)
     fit = _fit_one(irls, X, y, spec)
     probs = expit(X @ np.asarray(fit.coefficients))

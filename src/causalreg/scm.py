@@ -54,6 +54,9 @@ ORACLE_MIN_N = 100_000
 # from the machine, so that a request gets the same verdict everywhere; it
 # admits a 10^6-row oracle of a 33-node model.
 MAX_BLOCK_BYTES = 512 * 2**20
+# Rows per lane that the node sweep evaluates, draws and range-checks at a
+# time, so that a block's temporaries stay in cache at any n.
+ROW_BLOCK = 1 << 14
 # Rows that Dataset.write_csv formats per write.
 _CSV_BLOCK_ROWS = 10_000
 
@@ -94,9 +97,13 @@ def _into(op: np.ufunc, out, x):
     """``op(out, x)``, written into ``out`` when it is a writeable array that
     already has the result's shape; a writeable ``out`` must be an array that
     no one else holds, and a read-only one is left as it is."""
-    if (isinstance(out, np.ndarray) and out.flags.writeable
-            and np.broadcast_shapes(out.shape, np.shape(x)) == out.shape):
-        return op(out, x, out=out)
+    if isinstance(out, np.ndarray) and out.flags.writeable:
+        # The first two tests answer the common cases without the cost of
+        # a broadcast.
+        shape = np.shape(x)
+        if (shape == out.shape or not shape
+                or np.broadcast_shapes(out.shape, shape) == out.shape):
+            return op(out, x, out=out)
     return op(out, x)
 
 
@@ -378,15 +385,6 @@ class Dataset:
             out.write("".join(",".join(map(repr, row)) + "\n" for row in block))
 
     @classmethod
-    def from_columns(cls, columns: dict[str, np.ndarray]) -> "Dataset":
-        """One column per entry, in the mapping's order."""
-        values = list(columns.values())
-        data = np.empty((len(values[0]), len(values)), np.result_type(*values), order="F")
-        for j, col in enumerate(values):
-            data[:, j] = col
-        return cls(tuple(columns), data)
-
-    @classmethod
     def from_csv(cls, source: str) -> "Dataset":
         """Parse a header line and rows of finite numbers (see :func:`read_csv`)."""
         header, rows = read_csv(source)
@@ -421,6 +419,16 @@ def _checks(
     return []
 
 
+def _valid(spec: NodeSpec, params: list[np.ndarray], value: np.ndarray) -> bool:
+    """Whether every check of :func:`_checks` passes, in fewer passes over
+    the values.  The draws are finite, so a finite normal value has a
+    finite mean and sd, and NaN fails every comparison."""
+    if spec.dist == "normal":
+        return bool(np.isfinite(value).all() and np.all(params[1] >= 0))
+    (prob,) = params
+    return bool(prob.min() >= 0 and prob.max() <= 1)
+
+
 def check_block_size(model: StructuralModel, rows: int, what: str) -> None:
     """Refuse, naming ``what``, a simulation of ``rows`` rows of ``model``
     whose node values would exceed :data:`MAX_BLOCK_BYTES`."""
@@ -437,18 +445,23 @@ def check_block_size(model: StructuralModel, rows: int, what: str) -> None:
 RawDraws = dict[tuple[str, str], np.ndarray]
 
 
-def _draw(spec: NodeSpec, n: int, seed: int, reps) -> np.ndarray:
-    """The raw draws of ``spec``'s node, (len(reps), n): row ``i`` from the
-    substream keyed by (seed, node, reps[i])."""
+def _streams(spec: NodeSpec, seed: int, reps) -> list[np.random.Generator]:
+    """The generators of ``spec``'s node, one per replication in ``reps``:
+    the substream keyed by (seed, node, rep)."""
     key = _node_key(spec.name)
-    draws = np.empty((len(reps), n))
-    for i, rep in enumerate(reps):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, key, rep)))
+    return [np.random.default_rng(np.random.SeedSequence((seed, key, rep))) for rep in reps]
+
+
+def _fill(spec: NodeSpec, streams: list[np.random.Generator], out: np.ndarray) -> np.ndarray:
+    """Row ``i`` of ``out`` gets the next raw draws of ``streams[i]``:
+    standard normals for a normal law, uniforms for a bernoulli one.  A
+    substream read in consecutive pieces gives the bytes of one read."""
+    for rng, row in zip(streams, out):
         if spec.dist == "normal":
-            rng.standard_normal(n, out=draws[i])
+            rng.standard_normal(row.size, out=row)
         else:
-            rng.random(n, out=draws[i])
-    return draws
+            rng.random(row.size, out=row)
+    return out
 
 
 def _sweep(
@@ -456,83 +469,111 @@ def _sweep(
     n: int,
     seed: int,
     reps: range,
+    out: dict[str, np.ndarray],
     arms: tuple[str, np.ndarray] | None = None,
     raw_draws: RawDraws | None = None,
-) -> dict[str, np.ndarray | np.float64]:
-    """The node loop of :func:`simulate_block` and :func:`true_effect`.
+) -> None:
+    """The node loop of :func:`simulate`, :func:`simulate_block` and
+    :func:`true_effect`: fills each array of ``out``, (lanes, n) by node
+    name, with that node's values.
 
     The block has lanes along its first axis: one per replication in
     ``reps``, or with ``arms=(node, column)`` one per row of ``column``,
     whose value ``node`` takes there instead of drawing from its law; the
-    arms share one replication.  A node's raw draws are (len(reps), n),
-    drawn for this sweep alone; with ``raw_draws`` (replication lanes
-    only) they are read from that mapping, or drawn into it, read-only and
-    over all of ``reps``, when it lacks them.  Every value is kept only
-    over the axes it varies on: a constant law stays a scalar, and only a
+    arms share one replication.  The sweep walks the rows in blocks of
+    :data:`ROW_BLOCK` per lane, and evaluates, draws and range-checks every
+    node over a block while it is in cache, so it holds no node's values
+    over all rows but the arrays of ``out``.  Each drawn node keeps one
+    generator per replication from block to block.  With ``raw_draws``
+    (replication lanes only) a node's raw draws are instead read from that
+    mapping, or drawn into it whole, read-only and over all of ``reps``,
+    when it lacks them.  Within a block, every value is kept only over the
+    axes it varies on: a constant law stays a scalar, and only a
     descendant of the arm node gets the lane axis, through broadcasting.
+
     A failed check raises the error of the lowest failing lane (its first
-    failing node, then row), as sweeping the lanes one by one would.
+    failing node, that node's first failing check, then row, over all
+    blocks), as sweeping the lanes one by one and whole would.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if seed < 0 or min(reps, default=0) < 0:
         raise ValueError("seed and rep must be non-negative")
-    block = reps
-    reps = list(reps)
     lanes = len(reps) if arms is None else len(arms[1])
-    columns: dict[str, np.ndarray | np.float64] = {}
-    failure: SimulationError | None = None
+    streams: dict[str, list[np.random.Generator]] = {}
+
+    def raw(spec: NodeSpec, rows: slice, into: np.ndarray | None) -> np.ndarray:
+        """The raw draws of ``spec``'s node over ``rows``, one row per
+        replication, in ``into`` when it is given."""
+        if raw_draws is not None:
+            key = (spec.name, spec.dist)
+            if key not in raw_draws:
+                raw_draws[key] = _fill(spec, _streams(spec, seed, reps),
+                                       np.empty((len(reps), n)))
+                raw_draws[key].setflags(write=False)
+            if into is None:
+                return raw_draws[key][:, rows]
+            np.copyto(into, raw_draws[key][:, rows])
+            return into
+        if spec.name not in streams:
+            streams[spec.name] = _streams(spec, seed, reps)
+        if into is None:
+            into = np.empty((len(reps), rows.stop - rows.start))
+        return _fill(spec, streams[spec.name], into)
+
+    # (lane, node index, check index) of the failure that wins so far, and
+    # its error.
+    first: tuple[tuple[int, int, int], SimulationError] | None = None
     # A value that overflows or is undefined is a range check's verdict,
     # not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for spec in model.specs:
-            if arms is not None and spec.name == arms[0]:
-                columns[spec.name] = arms[1]
-                continue
-            params = [p.evaluate(columns) for p in spec.params]
-            if spec.dist == "constant":
-                columns[spec.name] = params[0]
-                continue
-            if raw_draws is None:
-                draws = _draw(spec, n, seed, reps)
-            else:
-                # Drawn over the whole block even after lanes were dropped:
-                # the next model to read them may need every lane.
-                key = (spec.name, spec.dist)
-                if key not in raw_draws:
-                    raw_draws[key] = _draw(spec, n, seed, block)
-                    raw_draws[key].setflags(write=False)
-                draws = raw_draws[key][:lanes]
-            if spec.dist == "normal":
-                draws = _into(np.add, _into(np.multiply, draws, params[1]), params[0])
-                columns[spec.name] = draws
-            else:
-                columns[spec.name] = (draws < params[0]).astype(float)
-            checks = _checks(spec, params, draws)
-            failed = np.zeros(lanes, dtype=bool)
-            for bad, _ in checks:
-                failed |= bad.any(axis=-1) if np.ndim(bad) else bad
-            if failed.any():
-                k = int(np.argmax(failed))
-                for bad, what in checks:
-                    row = np.broadcast_to(bad, (lanes, n))[k]
-                    if row.any():
-                        break
-                # A lane's replication, broadcast like its draws.
-                rep = reps[k] if len(reps) == lanes else reps[0]
-                failure = SimulationError(
-                    f"node {spec.name!r}: {what} at row {int(np.argmax(row))}", rep=rep
-                )
-                if k == 0:  # no lane can win over lane 0
+        for start in range(0, n, ROW_BLOCK):
+            rows = slice(start, min(start + ROW_BLOCK, n))
+            width = rows.stop - start
+            columns: dict[str, np.ndarray | np.float64] = {}
+            for i, spec in enumerate(model.specs):
+                # With a row of ``out`` per lane, a drawn node's values are
+                # computed in place there.
+                target = out.get(spec.name)
+                into = (target[:, rows] if target is not None and len(target) == len(reps)
+                        else None)
+                if arms is not None and spec.name == arms[0]:
+                    value = arms[1]
+                elif spec.dist == "constant":
+                    value = spec.params[0].evaluate(columns)
+                else:
+                    params = [p.evaluate(columns) for p in spec.params]
+                    if spec.dist == "normal":
+                        value = raw(spec, rows, into)
+                        # x * 1.0 is x, bit for bit.
+                        if np.ndim(params[1]) or params[1] != 1.0:
+                            value = _into(np.multiply, value, params[1])
+                        value = _into(np.add, value, params[0])
+                    elif into is not None:
+                        value = np.less(raw(spec, rows, None), params[0], out=into)
+                    else:
+                        value = (raw(spec, rows, None) < params[0]).astype(float)
+                    checks = [] if _valid(spec, params, value) else _checks(spec, params, value)
+                    for c, (bad, what) in enumerate(checks):
+                        if not bad.any():
+                            continue
+                        bad = np.broadcast_to(bad, (lanes, width))
+                        k = int(np.argmax(bad.any(axis=1)))
+                        if first is None or (k, i, c) < first[0]:
+                            row = start + int(np.argmax(bad[k]))
+                            first = ((k, i, c), SimulationError(
+                                f"node {spec.name!r}: {what} at row {row}",
+                                rep=reps[k] if arms is None else reps[0]))
+                columns[spec.name] = value
+                if target is not None and value is not into:
+                    target[:, rows] = value
+                # In the last block, a failure of lane 0 at this node or an
+                # earlier one is final: no lane is lower, and those nodes
+                # have seen every row.
+                if rows.stop == n and first is not None and first[0][:2] <= (0, i):
                     break
-                # Lanes from the first failure on are dropped: only a lower
-                # one can fail at a later node and win.
-                lanes, reps = k, reps[:k]
-                columns = {name: col[:k] if np.ndim(col) else col
-                           for name, col in columns.items()}
-    if failure is not None:
-        raise failure
-    return columns
+    if first is not None:
+        raise first[1]
 
 
 def simulate_block(
@@ -544,27 +585,27 @@ def simulate_block(
 
     Row ``i`` of every array is replication ``reps[i]``, drawn from the
     substreams keyed by (seed, node, reps[i]), so it does not depend on
-    which other replications share the block.  Each node is evaluated,
-    drawn and then range-checked once for the whole block, and a constant
-    (an intervention, or a parameter with no node term) once in all: it
-    is broadcast to the block's shape only on return.  A failed check
-    raises the error of the lowest failing replication (its first failing
-    node, then row), as drawing the replications one by one would; a bad
-    constant fails at row 0 of the lowest replication.  A block whose node
-    values exceed :data:`MAX_BLOCK_BYTES` is refused before anything is
-    drawn.
+    which other replications share the block.  The sweep streams the rows
+    in blocks of :data:`ROW_BLOCK` per replication and writes each block
+    into the returned arrays, which are the only values it holds whole; a
+    constant (an intervention, or a parameter with no node term) is one
+    number until it is written.  A failed check raises the error of the
+    lowest failing replication (its first failing node, then row), as
+    drawing the replications one by one would; a bad constant fails at
+    row 0 of the lowest replication.  A block whose node values exceed
+    :data:`MAX_BLOCK_BYTES` is refused before anything is drawn.
 
     Models that share nodes can share their draws.  Calls given one
     ``raw_draws`` mapping, with the same ``n``, ``seed`` and ``reps``,
     take a node's raw draws from it and draw the ones it lacks into it,
-    always over the whole of ``reps``; so each (node name, law) substream
-    is drawn once for all of them.  No returned column shares memory with
-    the mapping.
+    always whole and over the whole of ``reps``; so each (node name, law)
+    substream is drawn once for all of them.  No returned column shares
+    memory with the mapping.
     """
     check_block_size(model, len(reps) * n, f"n {n}")
-    shape = (len(reps), n)
-    return {name: col if np.shape(col) == shape else np.full(shape, col)
-            for name, col in _sweep(model, n, seed, reps, raw_draws=raw_draws).items()}
+    out = {name: np.empty((len(reps), n)) for name in model.node_names}
+    _sweep(model, n, seed, reps, out, raw_draws=raw_draws)
+    return out
 
 
 def simulate(model: StructuralModel, n: int, seed: int, rep: int = 0) -> Dataset:
@@ -572,10 +613,14 @@ def simulate(model: StructuralModel, n: int, seed: int, rep: int = 0) -> Dataset
     ``rep`` of :func:`simulate_block`.
 
     Deterministic given (model, n, seed, rep); node values never
-    depend on the declaration order of unrelated nodes.
+    depend on the declaration order of unrelated nodes.  The sweep writes
+    each block of rows straight into the dataset's column-major array.
     """
-    block = simulate_block(model, n, seed, range(rep, rep + 1))
-    return Dataset.from_columns({name: col[0] for name, col in block.items()})
+    check_block_size(model, n, f"n {n}")
+    data = np.empty((n, len(model.specs)), order="F")
+    out = {name: data.T[j:j + 1] for j, name in enumerate(model.node_names)}
+    _sweep(model, n, seed, range(rep, rep + 1), out)
+    return Dataset(model.node_names, data)
 
 
 def intervene(model: StructuralModel, node: str, value: float) -> StructuralModel:
@@ -629,9 +674,11 @@ def true_effect(
     the arm column [1, 0], and every node draws its substreams once, so
     shared upstream draws cancel out of the contrast and the reported
     Monte-Carlo standard error reflects the paired differences.  Only
-    the exposure's descendants hold a value per arm.  A range error in
-    arm 1 wins over one in arm 0, as when the arms ran one after the
-    other.
+    the exposure's descendants hold a value per arm.  The sweep streams
+    the rows in blocks of :data:`ROW_BLOCK` and holds only the outcome's
+    two arms whole, (2, n_oracle), which the mean and SD reduce.  A range
+    error in arm 1 wins over one in arm 0, as when the arms ran one after
+    the other.
     """
     if estimand not in ESTIMANDS:
         raise ValueError(f"unknown estimand {estimand!r}; expected one of {ESTIMANDS}")
@@ -640,9 +687,10 @@ def true_effect(
     check_oracle_model(model, exposure, outcome, estimand)
     check_block_size(model, 2 * n_oracle, f"n_oracle {n_oracle} in each of two arms")
 
-    arms = (exposure, np.array([[1.0], [0.0]]))
-    y = _sweep(model, n_oracle, seed, range(1), arms)[outcome]
-    y1, y0 = np.broadcast_to(y, (2, n_oracle))
+    y = np.empty((2, n_oracle))
+    _sweep(model, n_oracle, seed, range(1), {outcome: y},
+           arms=(exposure, np.array([[1.0], [0.0]])))
+    y1, y0 = y
 
     if estimand == ATE:
         diff = y1 - y0

@@ -364,12 +364,18 @@ class TestFit:
     @pytest.mark.parametrize("flags, outcome", [
         (("--outcome", "Y", "--covariates", "A,Y"), "Y"),
         (("--outcome", "Y", "--covariates", "A", "--interactions", "A:Y"), "Y"),
-        (("--positivity", "--exposure", "A", "--covariates", "A"), "A"),
-    ], ids=["covariate", "interaction", "positivity"])
+    ], ids=["covariate", "interaction"])
     def test_outcome_as_design_term_exits_1(self, capsys, csv_path, flags, outcome):
         code, out, err = run_cli(capsys, "fit", "--data", str(csv_path), *flags)
         assert (code, out, err) == (
             1, "", f"error: outcome {outcome!r} cannot also be a design term\n")
+
+    def test_positivity_exposure_as_covariate_exits_1(self, capsys, csv_path):
+        for covariates in ("A", "L,A"):
+            code, out, err = run_cli(capsys, "fit", "--data", str(csv_path), "--positivity",
+                                     "--exposure", "A", "--covariates", covariates)
+            assert (code, out, err) == (
+                1, "", "error: exposure 'A' cannot also be a covariate\n")
 
     def test_noncompliance_report(self, capsys, tmp_path):
         path = tmp_path / "trial.csv"

@@ -191,6 +191,20 @@ class TestDSeparation:
         with pytest.raises(UnknownNodeError):
             d_separated(parse_dag("A -> Y"), {"A"}, {"Z"}, set())
 
+    # Two unknown nodes beside known ones; the smallest, P, in each set in
+    # turn, and in two sets at once, which is named before their overlap.
+    @pytest.mark.parametrize("x, y, z", [
+        ({"A", "P"}, {"Y", "Q"}, {"B"}),
+        ({"A", "Q"}, {"Y", "P"}, {"B"}),
+        ({"A", "Q"}, {"Y"}, {"P", "B"}),
+        ({"A", "P"}, {"Y", "P"}, {"B", "Q"}),
+    ], ids=["in_x", "in_y", "in_z", "in_x_and_y"])
+    def test_unknown_node_named_is_the_smallest_unknown(self, x, y, z):
+        dag = parse_dag("A -> Y\nB -> Y")
+        with pytest.raises(UnknownNodeError) as info:
+            d_separated(dag, x, y, z)
+        assert (info.value.name, str(info.value)) == ("P", "unknown node 'P'")
+
     def test_monotone_collider_rule_on_fig4_pair(self):
         # Conditioning on the collider is the only opener; dropping it
         # restores separation.

@@ -125,6 +125,13 @@ class TestSatisfiesBackdoor:
         with pytest.raises(IdentError):
             satisfies_backdoor(q, {"U"})
 
+    def test_unmeasured_members_are_named(self):
+        dag = parse_dag("L -> A\nU1 -> A\nU2 -> Y\nA -> Y\nL -> Y")
+        q = CausalQuery(dag, "A", "Y", frozenset({"L"}))
+        with pytest.raises(IdentError) as info:
+            satisfies_backdoor(q, {"L", "U2", "U1"})
+        assert str(info.value) == "adjustment set contains unmeasured nodes: ['U1', 'U2']"
+
 
 class TestEnumeration:
     def test_fig2b_unmeasured_confounder_empty(self):
@@ -158,6 +165,18 @@ class TestEnumeration:
         assert enumerate_adjustment_sets(
             q, minimal_only=True, allow_large=True
         ) == [frozenset()]
+
+    @pytest.mark.parametrize("size", [ident.ENUMERATION_BOUND, ident.ENUMERATION_BOUND + 1],
+                             ids=["at_the_bound", "one_above"])
+    def test_bound_admits_exactly_its_size(self, size):
+        names = ["A", "Y"] + [f"X{i:02d}" for i in range(size)]
+        q = CausalQuery(Dag(names, [("A", "Y")]), "A", "Y", frozenset(names[2:]))
+        assert len(q.candidates) == size
+        if size == ident.ENUMERATION_BOUND:
+            assert enumerate_adjustment_sets(q, minimal_only=True) == [frozenset()]
+        else:
+            with pytest.raises(EnumerationBoundError, match=f"^{size} measured candidates"):
+                enumerate_adjustment_sets(q, minimal_only=True)
 
     def test_minimal_listing_stops_once_the_empty_set_is_valid(self, monkeypatch):
         names = ["A", "Y"] + [f"X{i:02d}" for i in range(21)]

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 import re
@@ -363,12 +364,15 @@ class TestDatasetLayout:
 
     @pytest.mark.parametrize("name", sorted(MODEL_FIXTURES))
     def test_from_columns_equals_column_stack(self, name):
-        block = simulate_block(model_fixture(name), 300, 4, range(2, 3))
-        columns = {node: col[0] for node, col in block.items()}
-        data = Dataset.from_columns(columns)
-        stacked = np.column_stack(list(columns.values()))
+        # simulate fills its dataset's array in place: it is the column
+        # stack of simulate_block's columns, column-major.
+        model = model_fixture(name)
+        data = simulate(model, 300, 4, rep=2)
+        block = simulate_block(model, 300, 4, range(2, 3))
+        stacked = np.column_stack([col[0] for col in block.values()])
+        assert data.names == tuple(block)
         assert data.data.dtype == stacked.dtype
-        assert np.array_equal(data.data, stacked)
+        assert data.data.tobytes() == stacked.tobytes()
         assert data.data.flags.f_contiguous
         for node in data.names:
             assert data.column(node).flags.c_contiguous
@@ -466,6 +470,126 @@ class TestSimulateBlock:
             simulate(model, 1000, seed=2)
         assert str(info.value).startswith("node 'B': probability outside [0, 1] at row ")
         assert info.value.rep == 0
+
+
+def _block_rows(monkeypatch, block, n):
+    """Sweep in blocks of ``block`` rows, or of all ``n`` rows for None."""
+    monkeypatch.setattr(scm, "ROW_BLOCK", n if block is None else block)
+
+
+def _first_bad_rows(n, seed, reps, prob_coef, sd_offset):
+    """Per replication, the first row where ``0.5 + prob_coef*L`` leaves
+    [0, 1] and the first where ``sd_offset + L`` is negative (None when there
+    is none), for L ~ normal(0, 1)."""
+    L = simulate_block(parse_model("L ~ normal(0, 1)\n"), n, seed, reps)["L"]
+    rows = []
+    for prob, sd in zip(0.5 + prob_coef * L, sd_offset + L):
+        bad = ~((prob >= 0) & (prob <= 1)), sd < 0
+        rows.append(tuple(int(np.argmax(b)) if b.any() else None for b in bad))
+    return rows
+
+
+# md5 of simulate(model, 49_159, seed=7, rep=1).data.tobytes(): three blocks
+# of the 2**14-row ROW_BLOCK and 7 rows, recorded when the sweep held every
+# node whole.
+_BLOCKS_MD5 = [
+    ("setup1", "17556c60ddb2346a6bc28adb7bd8c80a"),
+    ("setup2", "b5d9f83fca4faf1259c300485f251eb4"),
+    ("setup3", "3a65ef35691e5c01cedded954ed43c1f"),
+    ("setup4", "d2bdc6b55c0c6f8fed45d019d2b822e4"),
+    ("setup4b", "359572555c6cc271bf370302deb167cf"),
+    ("setup5", "16bc60401ae55d57be775a39655a2a0e"),
+    ("setup6", "78999316174c2bf40bddace6866e288c"),
+    ("setup7", "f8ddfb156e1a3fed8628c7c29c62100d"),
+]
+
+# Replication lanes: B fails where |L| > 2.5, D where L < -2.  At seed 16,
+# replications 3-5 never fail in 40 rows; replication 6 fails first at D
+# (row 1) but first in node order at B (row 18).  At n = 19, row 18 is in
+# the last block at ROW_BLOCK 1 and 7.
+_LANES_MODEL = "L ~ normal(0, 1)\nB ~ bernoulli(0.5 + 0.2*L)\nD ~ normal(0, 2 + L)\n"
+# Arm lanes: only arm 1 (A = 1) or only arm 0 leaves the range, at B where
+# |L| > 2.5 and at D where L < -0.5.  At seed 1, D fails first at row 0 and
+# B at row 17, the last row at n = 18.
+_ARM_MODELS = {
+    "arm_1": "A ~ bernoulli(0.5)\nL ~ normal(0, 1)\nB ~ bernoulli(0.5 + 0.2*A*L)\n"
+             "D ~ normal(0, 0.5 + A*L)\nY ~ normal(B + D, 1)\n",
+    "arm_0": "A ~ bernoulli(0.5)\nL ~ normal(0, 1)\n"
+             "B ~ bernoulli(0.5 + 0.2*L - 0.2*A*L)\nD ~ normal(0, 0.5 + L - A*L)\n"
+             "Y ~ normal(B + D, 1)\n",
+}
+
+
+class TestRowBlocks:
+    """The sweep walks rows in blocks of ``scm.ROW_BLOCK``; blocks of 1, 7
+    or all n rows give the same bytes and the same errors."""
+
+    @pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "n"])
+    def test_simulate_and_blocks_give_the_same_bytes(self, monkeypatch, block):
+        n, reps = 60, range(2, 5)
+        models = [model_fixture(name) for name in sorted(MODEL_FIXTURES)]
+
+        def run():
+            shared: dict = {}
+            sims = [simulate(m, n, 3, rep=4).data.tobytes() for m in models]
+            blocks = [{k: v.tobytes() for k, v in simulate_block(m, n, 3, reps).items()}
+                      for m in models]
+            # setup1 and setup2 share the substreams of L, A and Y.
+            read = [{k: v.tobytes() for k, v in simulate_block(
+                model_fixture(name), n, 3, reps, shared).items()}
+                for name in ("setup1", "setup2")]
+            return sims, blocks, read, {k: v.tobytes() for k, v in shared.items()}
+
+        whole = run()
+        _block_rows(monkeypatch, block, n)
+        assert run() == whole
+
+    @pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "n"])
+    def test_oracle_gives_the_same_bytes(self, monkeypatch, block):
+        n = 300
+        monkeypatch.setattr(scm, "ORACLE_MIN_N", n)
+        cases = [("setup5", ATE), ("setup5", LOG_MOR), ("setup6", ATE), ("setup4", ATE)]
+
+        def run():
+            return [(e.value.hex(), e.mc_se.hex()) for e in (
+                true_effect(model_fixture(name), "A", "Y", estimand, n, 5)
+                for name, estimand in cases)]
+
+        whole = run()
+        _block_rows(monkeypatch, block, n)
+        assert run() == whole
+
+    @pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "n"])
+    @pytest.mark.parametrize("n", [19, 40])
+    def test_first_node_wins_over_a_later_node_of_an_earlier_block(
+            self, monkeypatch, n, block):
+        seed, reps = 16, range(3, 13)
+        rows = _first_bad_rows(n, seed, reps, 0.2, 2.0)
+        assert rows[:4] == [(None, None)] * 3 + [(18, 1)]
+        expected = ("node 'B': probability outside [0, 1] at row 18", 6)
+        _block_rows(monkeypatch, block, n)
+        for call in (lambda: simulate_block(parse_model(_LANES_MODEL), n, seed, reps),
+                     lambda: simulate(parse_model(_LANES_MODEL), n, seed, rep=6)):
+            with pytest.raises(SimulationError) as info:
+                call()
+            assert (str(info.value), info.value.rep) == expected
+
+    @pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "n"])
+    @pytest.mark.parametrize("arm", sorted(_ARM_MODELS))
+    @pytest.mark.parametrize("n", [18, 200])
+    def test_oracle_arm_error_over_blocks(self, monkeypatch, n, arm, block):
+        monkeypatch.setattr(scm, "ORACLE_MIN_N", n)
+        assert _first_bad_rows(n, 1, range(1), 0.2, 0.5) == [(17, 0)]
+        _block_rows(monkeypatch, block, n)
+        with pytest.raises(SimulationError) as info:
+            true_effect(parse_model(_ARM_MODELS[arm]), "A", "Y", ATE, n, seed=1)
+        assert (str(info.value), info.value.rep) == (
+            "node 'B': probability outside [0, 1] at row 17", 0)
+
+    @pytest.mark.parametrize("name, digest", _BLOCKS_MD5)
+    def test_bytes_across_three_blocks(self, name, digest):
+        data = simulate(model_fixture(name), 49_159, seed=7, rep=1)
+        assert hashlib.md5(data.data.tobytes()).hexdigest() == digest
 
 
 class TestIntervene:

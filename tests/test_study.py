@@ -239,7 +239,7 @@ class TestRangeJobs:
 
     def test_a_failed_model_leaves_whole_draws_to_the_next(self):
         # The second model reads Z's normal substream, which the first one
-        # drew after it had dropped replications 3 and up.
+        # drew after its replication 3 had failed.
         reads_z = Scenario("reads_z", "Z ~ normal(0, 1)\nA ~ bernoulli(0.5)\n"
                            "Y ~ normal(A + Z, 1)\n", DesignSpec("Y", ("A", "Z")), "A",
                            true_value=1.0)

@@ -9,9 +9,10 @@ stdout, with the end-to-end metrics and the attempted and failed
 operation counts.
 
 Writes, per end-to-end metric of ``BENCHMARK.json``, each side's runs,
-median and quartiles, and the pairs the change won (ties count for
-neither side); per side, the failed and attempted operations of every
-run; and the machine facts, as ``tools/cli_walltimes.py`` does.  The
+median and quartiles, the pairs the change won (ties count for neither
+side) and the metric's verdict (see :func:`verdict`); per side, the
+failed and attempted operations of every run; and the machine facts, as
+``tools/cli_walltimes.py`` does.  The
 output file holds one entry per workload: a run for another workload on
 the same two checkouts adds its entry to an existing file, and a run for
 the same workload replaces it.
@@ -64,6 +65,30 @@ def wins(parent: list[float], change: list[float], better: str) -> int:
     return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """What the benchmark's gate reads from one metric's pairs of runs.
+
+    - ``gain``: the change wins at least nine tenths of the pairs, and its
+      median is better than the parent's by more than the parent's IQR;
+    - ``worse``: the change's median is worse than the parent's by more
+      than ``bound``, a fraction of the parent's median;
+    - ``unresolved``: the parent's IQR is wider than ``bound`` of its
+      median, and not every change run reads better than every parent run;
+    - ``held``: any other case.
+    """
+    sign = 1 if better == "higher" else -1
+    base, new = summary(parent), summary(change)
+    gain = sign * (new["median"] - base["median"])
+    if 10 * wins(parent, change, better) >= 9 * len(parent) and gain > base["iqr"]:
+        return "gain"
+    if -gain > bound * abs(base["median"]):
+        return "worse"
+    every_run_better = all(sign * (c - p) > 0 for c in change for p in parent)
+    if base["iqr"] > bound * abs(base["median"]) and not every_run_better:
+        return "unresolved"
+    return "held"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout root of the parent commit")
@@ -100,6 +125,8 @@ def main(argv: list[str] | None = None) -> int:
             "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
             **{side: summary(runs[side]) for side in SIDES},
             "change_wins": wins(runs["parent"], runs["change"], metric["better"]),
+            "verdict": verdict(runs["parent"], runs["change"], metric["better"],
+                               metric["bound"]),
         }
     # A checkout is named by its source digest: the change's commit cannot
     # hold its own id, and a working tree may differ from its HEAD.
@@ -136,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, m in metrics.items():
         print(f"{name:17s} parent {m['parent']['median']:.6g} "
               f"(IQR {m['parent']['iqr']:.3g})  change {m['change']['median']:.6g}  "
-              f"change wins {m['change_wins']}/{args.pairs}")
+              f"change wins {m['change_wins']}/{args.pairs}  {m['verdict']}")
     return 0
 
 

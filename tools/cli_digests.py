@@ -21,7 +21,11 @@ same bytes.  The request set:
   two ``log_MOR`` scenarios name setup5 by fixture and by its text;
 - ``analyze`` with ``--conditioned``, plain and with ``--minimal``:
   fig4c on C, fig8a-fig8c on S, fig8d on S1,S2, and a selection DAG
-  (``A -> Y``, ``A -> S``, ``U -> S``, ``U -> Y``) on S with U unmeasured.
+  (``A -> Y``, ``A -> S``, ``U -> S``, ``U -> Y``) on S with U unmeasured;
+- ``simulate`` over three row blocks of the node sweep and 7 rows
+  (``--n 49159``, with the sweep's 2^14-row blocks): setup5, setup7, and
+  a model whose range error is in the third block, at B, while a later
+  node, D, fails in the first.
 
 Files the requests read are written to a temporary directory, whose
 name is replaced by ``<tmp>`` before digesting.
@@ -76,6 +80,12 @@ CONDITIONED = [("fig4c", ["--conditioned", "C"]), ("fig8a", ["--conditioned", "S
                ("fig8b", ["--conditioned", "S"]), ("fig8c", ["--conditioned", "S"]),
                ("fig8d", ["--conditioned", "S1,S2"])]
 SELECTION_DAG = "A -> Y\nA -> S\nU -> S\nU -> Y\n"
+# Three row blocks of 2^14 rows and 7 rows.
+BLOCKS_N = "49159"
+# At seed 5, B first leaves [0, 1] at row 39347 (|L| > 4) and D's sd is
+# first negative at row 3807 (M < -3.5).
+THIRD_BLOCK_ERROR = ("L ~ normal(0, 1)\nB ~ bernoulli(0.5 + 0.125*L)\n"
+                     "M ~ normal(0, 1)\nD ~ normal(0, 3.5 + M)\n")
 TRIAL = ("A_assigned ~ bernoulli(0.5)\nA_taken ~ bernoulli(0.1 + 0.8*A_assigned)\n"
          "Y ~ bernoulli(0.2 + 0.3*A_taken)\n")
 
@@ -141,6 +151,11 @@ def requests(tmp: Path):
         argv = ["analyze", "--dag", dag, "--exposure", "A", "--outcome", "Y", *flags]
         yield argv
         yield argv + ["--minimal"]
+    for model in ("setup5", "setup7"):
+        yield ["simulate", "--model", model, "--n", BLOCKS_N, "--seed", "3"]
+    (tmp / "third_block.model").write_text(THIRD_BLOCK_ERROR)
+    yield ["simulate", "--model", str(tmp / "third_block.model"), "--n", BLOCKS_N,
+           "--seed", "5"]
 
 
 def at_one_worker(argv: tuple[str, ...]) -> tuple[str, ...]:
