@@ -10,15 +10,18 @@ import math
 def read_csv(source: str) -> tuple[tuple[str, ...], list[tuple[int, list[str]]]]:
     """The header, stripped, and every data row with its CSV line number.
 
-    Blank lines are skipped.  Empty input, a row with more or fewer
-    fields than the header (named by its line) and a header without
-    data rows are rejected with ``ValueError``.
+    Blank lines are skipped.  Empty input, a header that names a column
+    twice, a row with more or fewer fields than the header (named by its
+    line) and a header without data rows are rejected with ``ValueError``.
     """
     reader = csv.reader(io.StringIO(source))
     try:
         header = tuple(h.strip() for h in next(reader))
     except StopIteration:
         raise ValueError("empty CSV input") from None
+    for j, name in enumerate(header):
+        if name in header[:j]:
+            raise ValueError(f"line {reader.line_num}: column {name!r} appears twice")
     rows: list[tuple[int, list[str]]] = []
     for row in reader:
         if not row:

@@ -126,6 +126,15 @@ def _default_seed() -> int:
     return seed
 
 
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Refuse an output path that no file can take.  Every command writes
+    its outputs after its work, so this runs before the work starts."""
+    for flag, path in (("-o", args.output),
+                       ("--estimates-csv", getattr(args, "estimates_csv", None))):
+        if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            raise ValueError(f"{flag} {path}: not a file in an existing directory")
+
+
 # --- subcommands -------------------------------------------------------------
 
 
@@ -286,10 +295,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
     else:
         config = StudyConfig.from_dict(json.loads(Path(args.config).read_text()))
         config = replace(config, **flags)
-    # The outputs are written after the run; refuse a path no file can take before it.
-    for flag, path in (("-o", args.output), ("--estimates-csv", args.estimates_csv)):
-        if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
-            raise ValueError(f"{flag} {path}: not a file in an existing directory")
     report = run_study(config, workers=args.workers)
     if args.estimates_csv:
         Path(args.estimates_csv).write_text(estimates_csv(report))
@@ -391,6 +396,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error; 2 is a verdict here
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
+        _check_outputs(args)
         return args.func(args)
     # GraphError, ModelParseError and TableError are ValueErrors.
     except (OSError, KeyError, ValueError) as exc:

@@ -93,20 +93,6 @@ class Term:
     names: tuple[str, ...] = ()
 
 
-def _into(op: np.ufunc, out, x):
-    """``op(out, x)``, written into ``out`` when it is a writeable array that
-    already has the result's shape; a writeable ``out`` must be an array that
-    no one else holds, and a read-only one is left as it is."""
-    if isinstance(out, np.ndarray) and out.flags.writeable:
-        # The first two tests answer the common cases without the cost of
-        # a broadcast.
-        shape = np.shape(x)
-        if (shape == out.shape or not shape
-                or np.broadcast_shapes(out.shape, shape) == out.shape):
-            return op(out, x, out=out)
-    return op(out, x)
-
-
 @dataclass(frozen=True)
 class Expr:
     """A sum of terms, optionally passed through the logistic function."""
@@ -119,25 +105,19 @@ class Expr:
 
     def evaluate(self, columns: dict[str, np.ndarray]) -> np.ndarray | np.float64:
         """The value over the columns, kept only over the axes it varies on:
-        a scalar until the first term that references a column whose value
-        is an array, then the broadcast shape of the terms."""
-        # Term by term, in the order the model states them, from 0.0; a
-        # product starts from its coefficient.  IEEE addition and
-        # multiplication commute, so whichever operand holds the sum, every
-        # float is the one that a sum over zeros of the result's shape gives.
-        total = 0.0
+        a numpy scalar until the first term that references a column whose
+        value is an array, then the broadcast shape of the terms.  Each
+        step is a plain ufunc result; no operand is written in place."""
+        # Term by term, in the order the model states them, from +0.0, so
+        # that a product of -0.0 sums to +0.0; a product starts from its
+        # coefficient.
+        total = np.float64(0.0)
         for t in self.terms:
-            if not t.names:
-                total = _into(np.add, total, t.coef)
-                continue
-            value = t.coef * columns[t.names[0]]
-            for name in t.names[1:]:
-                value = _into(np.multiply, value, columns[name])
-            total = (_into(np.add, total, value) if isinstance(total, np.ndarray)
-                     else _into(np.add, value, total))
-        if self.logistic:
-            total = expit(total, out=total) if isinstance(total, np.ndarray) else expit(total)
-        return total
+            value = t.coef
+            for name in t.names:
+                value = value * columns[name]
+            total = total + value
+        return expit(total) if self.logistic else total
 
     @classmethod
     def constant(cls, value: float) -> "Expr":
@@ -483,11 +463,13 @@ def _sweep(
     arms share one replication.  The sweep walks the rows in blocks of
     :data:`ROW_BLOCK` per lane, and evaluates, draws and range-checks every
     node over a block while it is in cache, so it holds no node's values
-    over all rows but the arrays of ``out``.  Each drawn node keeps one
-    generator per replication from block to block.  With ``raw_draws``
-    (replication lanes only) a node's raw draws are instead read from that
-    mapping, or drawn into it whole, read-only and over all of ``reps``,
-    when it lacks them.  Within a block, every value is kept only over the
+    over all rows but the arrays of ``out``.  Each value is a plain ufunc
+    result; a drawn node with a row of ``out`` per lane writes its block
+    there through its last ufunc's ``out=``, and any other value is
+    copied in.  Each drawn node keeps one generator per replication from
+    block to block.  With ``raw_draws`` (replication lanes only) a node's
+    raw draws are instead read from that mapping, or drawn into it whole,
+    read-only and over all of ``reps``, when it lacks them.  Within a block, every value is kept only over the
     axes it varies on: a constant law stays a scalar, and only a
     descendant of the arm node gets the lane axis, through broadcasting.
 
@@ -502,24 +484,20 @@ def _sweep(
     lanes = len(reps) if arms is None else len(arms[1])
     streams: dict[str, list[np.random.Generator]] = {}
 
-    def raw(spec: NodeSpec, rows: slice, into: np.ndarray | None) -> np.ndarray:
+    def raw(spec: NodeSpec, rows: slice) -> np.ndarray:
         """The raw draws of ``spec``'s node over ``rows``, one row per
-        replication, in ``into`` when it is given."""
+        replication: a read-only slice of ``raw_draws`` when it is given,
+        else a fresh block."""
         if raw_draws is not None:
             key = (spec.name, spec.dist)
             if key not in raw_draws:
                 raw_draws[key] = _fill(spec, _streams(spec, seed, reps),
                                        np.empty((len(reps), n)))
                 raw_draws[key].setflags(write=False)
-            if into is None:
-                return raw_draws[key][:, rows]
-            np.copyto(into, raw_draws[key][:, rows])
-            return into
+            return raw_draws[key][:, rows]
         if spec.name not in streams:
             streams[spec.name] = _streams(spec, seed, reps)
-        if into is None:
-            into = np.empty((len(reps), rows.stop - rows.start))
-        return _fill(spec, streams[spec.name], into)
+        return _fill(spec, streams[spec.name], np.empty((len(reps), rows.stop - rows.start)))
 
     # (lane, node index, check index) of the failure that wins so far, and
     # its error.
@@ -532,8 +510,8 @@ def _sweep(
             width = rows.stop - start
             columns: dict[str, np.ndarray | np.float64] = {}
             for i, spec in enumerate(model.specs):
-                # With a row of ``out`` per lane, a drawn node's values are
-                # computed in place there.
+                # With a row of ``out`` per lane, a drawn node's ufunc writes
+                # its values there.
                 target = out.get(spec.name)
                 into = (target[:, rows] if target is not None and len(target) == len(reps)
                         else None)
@@ -543,16 +521,12 @@ def _sweep(
                     value = spec.params[0].evaluate(columns)
                 else:
                     params = [p.evaluate(columns) for p in spec.params]
+                    draws = raw(spec, rows)
                     if spec.dist == "normal":
-                        value = raw(spec, rows, into)
-                        # x * 1.0 is x, bit for bit.
-                        if np.ndim(params[1]) or params[1] != 1.0:
-                            value = _into(np.multiply, value, params[1])
-                        value = _into(np.add, value, params[0])
-                    elif into is not None:
-                        value = np.less(raw(spec, rows, None), params[0], out=into)
+                        mean, sd = params
+                        value = np.add(np.multiply(draws, sd, out=into), mean, out=into)
                     else:
-                        value = (raw(spec, rows, None) < params[0]).astype(float)
+                        value = np.less(draws, params[0], out=into)
                     checks = [] if _valid(spec, params, value) else _checks(spec, params, value)
                     for c, (bad, what) in enumerate(checks):
                         if not bad.any():
@@ -567,11 +541,6 @@ def _sweep(
                 columns[spec.name] = value
                 if target is not None and value is not into:
                     target[:, rows] = value
-                # In the last block, a failure of lane 0 at this node or an
-                # earlier one is final: no lane is lower, and those nodes
-                # have seen every row.
-                if rows.stop == n and first is not None and first[0][:2] <= (0, i):
-                    break
     if first is not None:
         raise first[1]
 
@@ -586,10 +555,11 @@ def simulate_block(
     Row ``i`` of every array is replication ``reps[i]``, drawn from the
     substreams keyed by (seed, node, reps[i]), so it does not depend on
     which other replications share the block.  The sweep streams the rows
-    in blocks of :data:`ROW_BLOCK` per replication and writes each block
-    into the returned arrays, which are the only values it holds whole; a
-    constant (an intervention, or a parameter with no node term) is one
-    number until it is written.  A failed check raises the error of the
+    in blocks of :data:`ROW_BLOCK` per replication; a drawn node's block
+    is written into the returned arrays through its ufunc's ``out=``, and
+    they are the only values the sweep holds whole.  A constant (an
+    intervention, or a parameter with no node term) is one number until
+    it is copied in.  A failed check raises the error of the
     lowest failing replication (its first failing node, then row), as
     drawing the replications one by one would; a bad constant fails at
     row 0 of the lowest replication.  A block whose node values exceed

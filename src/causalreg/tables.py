@@ -207,20 +207,31 @@ def effect_measure(
 def load_table_csv(source: str) -> StratifiedTable:
     """Read a table from CSV text with columns stratum, a, y, weight.
 
-    The weight column may also be named ``count`` or ``n``; duplicate
-    (stratum, a, y) rows accumulate.  Weights normalize to
-    probabilities.  Rows follow the rules of :func:`read_csv`, and the
-    a, y and weight cells must be finite numbers.
+    Column names are read ignoring case, so two that differ only in case
+    are refused, as is more than one weight column.  The weight column
+    may also be named ``count`` or ``n``; duplicate (stratum, a, y) rows
+    accumulate.  Weights normalize to probabilities.  Rows follow the
+    rules of :func:`read_csv`, and the a, y and weight cells must be
+    finite numbers.
     """
     header, rows = read_csv(source)
-    fields = {name.lower(): j for j, name in enumerate(header)}
-    weight = next((fields[k] for k in ("weight", "count", "n") if k in fields), None)
+    fields: dict[str, int] = {}
+    for j, name in enumerate(header):
+        if name.lower() in fields:
+            raise TableError(f"columns {header[fields[name.lower()]]!r} and {name!r} "
+                             "name the same field (case is ignored)")
+        fields[name.lower()] = j
+    weights = [fields[k] for k in ("weight", "count", "n") if k in fields]
+    if len(weights) > 1:
+        raise TableError("CSV has more than one weight column: "
+                         + ", ".join(repr(header[j]) for j in weights))
     missing = [k for k in ("stratum", "a", "y") if k not in fields]
-    if missing or weight is None:
+    if missing or not weights:
         raise TableError(
             "CSV needs columns stratum, a, y and one of weight/count/n; "
             f"got {list(header)}"
         )
+    (weight,) = weights
     labels: list[str] = []
     cells: dict[tuple[str, int, int], float] = {}
     for line, row in rows:

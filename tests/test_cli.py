@@ -188,6 +188,19 @@ class TestCollapse:
         assert "collapsible" in out
         assert "1.50" in out
 
+    @pytest.mark.parametrize("header, message", [
+        ("stratum,a,y,weight,a", "line 1: column 'a' appears twice"),
+        ("stratum,a,y,weight,A",
+         "columns 'a' and 'A' name the same field (case is ignored)"),
+        ("stratum,a,y,weight,N", "CSV has more than one weight column: 'weight', 'N'"),
+    ], ids=["named_twice", "case", "two_weights"])
+    def test_ambiguous_header_exits_1(self, capsys, tmp_path, header, message):
+        path = tmp_path / "table.csv"
+        path.write_text(header + "\nL=1,1,1,1,0\nL=1,0,0,1,1\n")
+        code, out, err = run_cli(capsys, "collapse", "--table", str(path),
+                                 "--measure", "risk_difference")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestSimulate:
     def test_five_row_csv(self, capsys):
@@ -398,6 +411,12 @@ class TestFit:
         assert (code, out, err) == (
             3, "", "numerical failure: design column 'X^2' is not finite\n")
 
+    def test_column_named_twice_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text("A,Y, A\n1,2,0\n0,1,1\n")
+        code, out, err = run_cli(capsys, "fit", "--data", str(path), "--covariates", "A")
+        assert (code, out, err) == (1, "", "error: line 1: column 'A' appears twice\n")
+
     def test_header_only_csv_exits_1(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("x,y\n")
@@ -520,17 +539,28 @@ class TestStudy:
         code, out, err = run_cli(capsys, "study", "--runs", "2", "--n", "50", *flags)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize("flag", ["-o", "--estimates-csv"])
+    @pytest.mark.parametrize("command, flag", [
+        pytest.param("study", "-o", id="-o"),
+        pytest.param("study", "--estimates-csv", id="--estimates-csv"),
+        pytest.param("simulate", "-o", id="simulate--o"),
+        pytest.param("fit", "-o", id="fit--o"),
+    ])
     @pytest.mark.parametrize("target", ["", "missing/out.txt"], ids=["directory", "no_parent"])
     def test_bad_output_path_exits_1_before_any_job(
-        self, capsys, tmp_path, monkeypatch, flag, target
+        self, capsys, tmp_path, tmp_path_factory, monkeypatch, command, flag, target
     ):
-        def no_jobs(jobs, workers):
+        def no_jobs(*args):
             raise AssertionError("a job ran before the output paths were checked")
 
-        monkeypatch.setattr(study, "_dispatch", no_jobs)
+        for owner, name in ((study, "_dispatch"), (scm, "simulate"), (scm.Dataset, "from_csv")):
+            monkeypatch.setattr(owner, name, no_jobs)
+        data = tmp_path_factory.mktemp("data") / "d.csv"
+        data.write_text("A,Y\n1,2\n0,1\n")
+        inputs = {"study": ("--runs", "2", "--n", "50"),
+                  "simulate": ("--model", "setup7", "--n", "3000000"),
+                  "fit": ("--data", str(data))}[command]
         path = str(tmp_path / target)
-        code, out, err = run_cli(capsys, "study", "--runs", "2", "--n", "50", flag, path)
+        code, out, err = run_cli(capsys, command, *inputs, flag, path)
         assert (code, out) == (1, "")
         assert err == f"error: {flag} {path}: not a file in an existing directory\n"
         assert list(tmp_path.iterdir()) == []

@@ -681,6 +681,43 @@ def _oracle_models(draw):
     return StructuralModel(tuple(specs))
 
 
+# B is bernoulli; Y and Z read it through c*B, B*X, B^2 and inside plogis.
+# In the oracle B is not returned, so its block is never written to a float
+# array.
+_BOOL_MODEL = (
+    "X ~ normal(0, 1)\nA ~ bernoulli(0.5)\nB ~ bernoulli(plogis(0.3*X + 0.5*A))\n"
+    "Y ~ normal(0.5*A - 1.5*B + 0.8*B*X + 0.3*B^2, plogis(-1 + 2*B))\n"
+    "Z ~ bernoulli(plogis(-0.5 + 1.5*B - 0.7*B*X + 0.25*B^2))\n"
+)
+# true_effect at n=100,000, as float.hex() of (value, mc_se), and the md5 of
+# simulate_block(model, 20_000, 5, range(1, 4)) over its arrays in node
+# order, recorded when every drawn bernoulli block was cast to float.
+_BOOL_ORACLE_PINS = [
+    ("Y", ATE, 3, "0x1.69a230afac75dp-2", "0x1.a3fedde51b66fp-10"),
+    ("Y", ATE, 11, "0x1.67e7a68552a87p-2", "0x1.a5989937a17b7p-10"),
+    ("Z", ATE, 3, "0x1.79e59f2ba9d1fp-5", "0x1.5bc875f1867aap-11"),
+    ("Z", ATE, 11, "0x1.807357e670e2cp-5", "0x1.5ecb9e8674925p-11"),
+    ("Z", LOG_MOR, 3, "0x1.84058e19a6f17p-3", "0x1.65a22f0cc2b14p-9"),
+    ("Z", LOG_MOR, 11, "0x1.8b261e15fa0b3p-3", "0x1.691d6ac08d7d4p-9"),
+]
+_BOOL_BLOCK_MD5 = "40709a974c4bb6820ea3ddae468d8fd0"
+
+
+class TestBoolBlock:
+    @pytest.mark.parametrize("outcome, estimand, seed, value, mc_se", _BOOL_ORACLE_PINS)
+    def test_oracle_bytes(self, outcome, estimand, seed, value, mc_se):
+        est = true_effect(parse_model(_BOOL_MODEL), "A", outcome, estimand, 100_000, seed)
+        assert (est.value.hex(), est.mc_se.hex()) == (value, mc_se)
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["drawn", "raw_draws"])
+    def test_block_bytes(self, shared):
+        block = simulate_block(parse_model(_BOOL_MODEL), 20_000, 5, range(1, 4),
+                               {} if shared else None)
+        assert list(block) == ["X", "A", "B", "Y", "Z"]
+        digest = hashlib.md5(b"".join(v.tobytes() for v in block.values())).hexdigest()
+        assert digest == _BOOL_BLOCK_MD5
+
+
 class TestTrueEffect:
     @pytest.mark.parametrize("name, estimand, seed, value, mc_se", _ORACLE_PINS)
     def test_bytes_of_the_two_arm_oracle(self, name, estimand, seed, value, mc_se):
