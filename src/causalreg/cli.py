@@ -293,7 +293,11 @@ def _cmd_study(args: argparse.Namespace) -> int:
             flags["seed"] = _default_seed()
         config = default_study_config(**flags)
     else:
-        config = StudyConfig.from_dict(json.loads(Path(args.config).read_text()))
+        try:
+            doc = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
+        config = StudyConfig.from_dict(doc)
         config = replace(config, **flags)
     report = run_study(config, workers=args.workers)
     if args.estimates_csv:

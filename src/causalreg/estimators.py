@@ -251,7 +251,8 @@ def ols(X: np.ndarray, y: np.ndarray, spec: DesignSpec) -> list[FitResult | FitE
 
     Everything is read off the R of [X | y]: its last column holds Q'y and
     its corner entry the residual norm, so no Q is formed, and the SEs
-    are the row norms of R^-1 (X'X = R'R) scaled by the residual SD.
+    are the row norms of R^-1 (X'X = R'R) scaled by the residual SD.  A
+    finite outcome whose coefficients or SEs overflow fails its problem.
     """
     n, p = X.shape[1:]
     r, out = _screen(X, y, spec, binary=False)
@@ -260,11 +261,15 @@ def ols(X: np.ndarray, y: np.ndarray, spec: DesignSpec) -> list[FitResult | FitE
         rx = r[ok, :p, :p]
         beta = np.linalg.solve(rx, r[ok, :p, p:])[:, :, 0]
         rinv = np.linalg.inv(rx)
-        sigma2 = r[ok, p, p] ** 2 / (n - p)
-        ses = np.sqrt(sigma2[:, None] * np.sum(rinv * rinv, axis=2))
+        with np.errstate(over="ignore"):  # an overflow is the fit's verdict
+            sigma2 = r[ok, p, p] ** 2 / (n - p)
+            ses = np.sqrt(sigma2[:, None] * np.sum(rinv * rinv, axis=2))
+        finite = np.isfinite(beta).all(axis=1) & np.isfinite(ses).all(axis=1)
         names = spec.column_names()
-        for i, b, s in zip(ok, beta, ses):
-            out[i] = FitResult(names, tuple(map(float, b)), tuple(map(float, s)))
+        for i, b, s, good in zip(ok, beta, ses, finite):
+            out[i] = (FitResult(names, tuple(map(float, b)), tuple(map(float, s))) if good
+                      else FitError(f"outcome {spec.outcome!r} is too large to fit: "
+                                    "a coefficient or SE overflows"))
     return out
 
 

@@ -411,7 +411,10 @@ def _valid(spec: NodeSpec, params: list[np.ndarray], value: np.ndarray) -> bool:
 
 def check_block_size(model: StructuralModel, rows: int, what: str) -> None:
     """Refuse, naming ``what``, a simulation of ``rows`` rows of ``model``
-    whose node values would exceed :data:`MAX_BLOCK_BYTES`."""
+    that has no row, or whose node values would exceed
+    :data:`MAX_BLOCK_BYTES`."""
+    if rows < 1:
+        raise ValueError(f"{what}: a simulation needs at least one row")
     size = rows * len(model.specs) * 8
     if size > MAX_BLOCK_BYTES:
         raise ValueError(
@@ -477,8 +480,6 @@ def _sweep(
     failing node, that node's first failing check, then row, over all
     blocks), as sweeping the lanes one by one and whole would.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     if seed < 0 or min(reps, default=0) < 0:
         raise ValueError("seed and rep must be non-negative")
     lanes = len(reps) if arms is None else len(arms[1])
@@ -562,8 +563,9 @@ def simulate_block(
     it is copied in.  A failed check raises the error of the
     lowest failing replication (its first failing node, then row), as
     drawing the replications one by one would; a bad constant fails at
-    row 0 of the lowest replication.  A block whose node values exceed
-    :data:`MAX_BLOCK_BYTES` is refused before anything is drawn.
+    row 0 of the lowest replication.  A block with no row, or whose node
+    values exceed :data:`MAX_BLOCK_BYTES`, is refused before anything is
+    allocated.
 
     Models that share nodes can share their draws.  Calls given one
     ``raw_draws`` mapping, with the same ``n``, ``seed`` and ``reps``,

@@ -80,14 +80,6 @@ class StudyError(NumericalError):
     pass
 
 
-def _require(doc: object, fields: tuple[str, ...], where: str) -> None:
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where}: expected a JSON object")
-    for field in fields:
-        if field not in doc:
-            raise ValueError(f"{where}: missing field {field!r}")
-
-
 def _is_names(value: object) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
@@ -104,9 +96,15 @@ _TRUTH = ("a finite number or null", lambda v: v is None or (
     isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)))
 
 
-def _fields(doc: dict, kinds: dict[str, tuple], where: str) -> dict:
-    """The fields of ``doc`` named in ``kinds``, each of its kind; an absent
-    field is left out, so that the dataclass default fills it in."""
+def _fields(doc: object, kinds: dict[str, tuple], where: str, required: tuple = ()) -> dict:
+    """The fields of ``doc`` that ``kinds`` names, each of its kind; an
+    absent field is left out, so that the dataclass default fills it in.
+    ``doc`` must be a JSON object that holds every field of ``required``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    for field in required:
+        if field not in doc:
+            raise ValueError(f"{where}: missing field {field!r}")
     for field, (what, test) in kinds.items():
         if field in doc and not test(doc[field]):
             raise ValueError(f"{where}: field {field!r} must be {what}")
@@ -159,9 +157,9 @@ class Scenario:
     @classmethod
     def from_dict(cls, doc: dict, index: int = 0) -> "Scenario":
         """A scenario from its JSON object, at position ``index`` of a config."""
-        _require(doc, ("id", "model", "design", "target"), f"scenario {index}")
+        _fields(doc, {}, f"scenario {index}", required=("id", "model", "design", "target"))
         design = doc["design"]
-        _require(design, ("outcome",), f"scenario {index} design")
+        _fields(design, {}, f"scenario {index} design", required=("outcome",))
         _fields(doc, {"id": _TEXT}, f"scenario {index}")
         where = f"scenario {doc['id']!r}"
         spec = _fields(design, {
@@ -214,7 +212,6 @@ class StudyConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "StudyConfig":
         where = "study config"
-        _require(doc, (), where)
         scenarios = _fields(doc, {"scenarios": _ARRAY}, where).get("scenarios", [])
         scenarios = tuple(Scenario.from_dict(s, index=i) for i, s in enumerate(scenarios))
         return cls(scenarios, **_fields(doc, {
@@ -342,7 +339,7 @@ def _fit(
 
     The replications are fitted as stacks, one per complete-case row
     count, by ``ols`` or ``irls``, which give each replication its own
-    verdict and message.
+    verdict and message, as on its complete rows alone.
     """
     design = scenario.design
     names = design.column_names()
@@ -356,10 +353,6 @@ def _fit(
     results: list[tuple[float | None, str | None] | None] = [None] * len(reps)
     for count in np.unique(rows):
         idx = np.flatnonzero(rows == count)
-        if scenario.require_ones and count <= len(names) + 1:
-            for i in idx:
-                results[i] = (None, f"only {count} complete rows left after filtering")
-            continue
         Xg, yg = (X, y) if idx.size == len(reps) else (X[idx], y[idx])
         if count < sample_size:
             Xg = Xg[keep[idx]].reshape(idx.size, count, len(names))
@@ -459,9 +452,10 @@ def _range_size(config: StudyConfig, models: list[StructuralModel], lanes: int) 
 def run_study(config: StudyConfig, workers: int = 1) -> BiasReport:
     """Run every scenario; results do not depend on the worker count.
 
-    Each scenario's model is resolved and checked once, and one
-    replication of it and its oracle's two arms are checked against the
-    simulation budget (:func:`check_block_size`), all before any job runs.
+    Each scenario's model is resolved and checked once, and its oracle's
+    two arms are checked against the simulation budget
+    (:func:`check_block_size`), all before any job runs; so is one
+    replication of the whole study, by :func:`_range_size`.
     One job list holds a ``true_effect`` job per distinct oracle (resolved
     model, exposure, outcome, estimand), first so that the n=10^6 oracle
     overlaps the replications, then one job per range of consecutive
@@ -479,12 +473,9 @@ def run_study(config: StudyConfig, workers: int = 1) -> BiasReport:
     oracle_of: dict[str, tuple[StructuralModel, str, str, str]] = {}
     groups: dict[StructuralModel, list[Scenario]] = {}
     for scenario, model in zip(config.scenarios, models):
-        where = f"scenario {scenario.id!r}"
-        check_block_size(model, config.sample_size,
-                         f"{where}: sample_size {config.sample_size}")
         if scenario.true_value is None:
-            check_block_size(model, 2 * config.oracle_n,
-                             f"{where}: oracle_n {config.oracle_n} in each of two arms")
+            check_block_size(model, 2 * config.oracle_n, f"scenario {scenario.id!r}: "
+                             f"oracle_n {config.oracle_n} in each of two arms")
             oracle_of[scenario.id] = (model, scenario.target, scenario.design.outcome,
                                       scenario.estimand)
         groups.setdefault(model, []).append(scenario)

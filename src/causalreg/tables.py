@@ -61,7 +61,7 @@ class StratifiedTable:
         if np.any(probs < 0) or not np.all(np.isfinite(probs)):
             raise TableError("probabilities must be finite and non-negative")
         if abs(probs.sum() - 1.0) > 1e-12:
-            raise TableError(f"probabilities sum to {probs.sum()!r}, not 1")
+            raise TableError(f"probabilities sum to {float(probs.sum())!r}, not 1")
         probs.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
@@ -69,9 +69,10 @@ class StratifiedTable:
     @classmethod
     def from_counts(cls, labels: Iterable[str], counts: np.ndarray) -> "StratifiedTable":
         counts = np.asarray(counts, dtype=float)
-        total = counts.sum()
-        if total <= 0:
-            raise TableError("counts must sum to a positive total")
+        with np.errstate(over="ignore"):  # an overflowing total is refused below
+            total = counts.sum()
+        if not 0 < total < math.inf:
+            raise TableError("counts must sum to a finite positive total")
         return cls(labels, counts / total)
 
     def __eq__(self, other: object) -> bool:

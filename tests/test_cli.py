@@ -159,6 +159,24 @@ class TestMissingness:
         assert code == 2
         assert doc["complete_case_valid"] is False
 
+    @pytest.mark.parametrize("covariates, code, listed", [
+        (None, 0, ["L"]),
+        ("L", 0, ["L"]),
+        ("", 2, []),
+    ], ids=["default", "listed", "none"])
+    def test_covariates_flag_sets_the_adjustment(
+        self, capsys, tmp_path, covariates, code, listed
+    ):
+        # C_Y <- L -> Y is blocked only when the regression adjusts for L.
+        path = tmp_path / "m.mdag"
+        path.write_text("A -> Y\nL -> Y\nL -> C_Y\nmissing: Y -> C_Y\n")
+        flags = () if covariates is None else ("--covariates", covariates)
+        got, doc, _ = run_json(capsys, "missingness", "--mdag", str(path),
+                               "--exposure", "A", "--outcome", "Y", *flags)
+        assert got == code
+        assert doc["query"]["covariates"] == listed
+        assert doc["complete_case_valid"] is (code == 0)
+
 
 class TestCollapse:
     def test_table1_odds_ratio(self, capsys):
@@ -200,6 +218,16 @@ class TestCollapse:
         code, out, err = run_cli(capsys, "collapse", "--table", str(path),
                                  "--measure", "risk_difference")
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_weights_exit_1_with_one_line(self, capsys, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("stratum,a,y,weight\n"
+                        + "".join(f"s,{a},{y},1e308\n" for a in (0, 1) for y in (0, 1)))
+        code, out, err = run_cli(capsys, "collapse", "--table", str(path),
+                                 "--measure", "odds_ratio")
+        assert (code, out, err) == (
+            1, "", "error: counts must sum to a finite positive total\n")
 
 
 class TestSimulate:
@@ -336,6 +364,27 @@ class TestFit:
         )
         assert code == 3
         assert "numerical failure" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_fit_exits_3_with_one_line(self, capsys, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("A,Y\n1,1e308\n0,1e308\n1,-1e308\n0,3\n1,2\n")
+        code, out, err = run_cli(capsys, "fit", "--data", str(path), "--covariates", "A")
+        assert (code, out, err) == (
+            3, "", "numerical failure: outcome 'Y' is too large to fit: a coefficient "
+            "or SE overflows\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--dag", "fig1a", "--exposure", "A", "--outcome", "Y"),
+        ("fit", "--data", "{data}", "--covariates", "A,L"),
+    ], ids=["analyze", "fit"])
+    def test_output_file_holds_the_stdout_bytes(self, capsys, tmp_path, csv_path, argv):
+        argv = [arg.format(data=csv_path) for arg in argv]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "report.json"
+        assert run_cli(capsys, *argv, "-o", str(path)) == (0, "", "")
+        assert path.read_text() == out
 
     @pytest.mark.parametrize("body, message", [
         ("x,y\n1,2\n3,4,5\n", "error: line 3: expected 2 fields, got 3\n"),
@@ -760,6 +809,14 @@ class TestInputErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(tmp_path) in err
 
+    def test_study_config_not_json_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("replications: 2\n")
+        code, out, err = run_cli(capsys, "study", "--config", str(path))
+        assert (code, out, err) == (
+            1, "", f"error: {path}: not valid JSON: Expecting value: line 1 column 1 "
+            "(char 0)\n")
+
     def test_help_exits_0(self, capsys):
         code, out, err = run_cli(capsys, "--help")
         assert (code, err) == (0, "")
@@ -806,16 +863,21 @@ class TestSizeArguments:
     @pytest.mark.parametrize("argv, message", [
         (("simulate", "--model", "setup1", "--n", _HUGE),
          f"--n {_HUGE}: {_HUGE} rows of 3 nodes need 24000000000000 bytes, {_BUDGET}"),
+        (("simulate", "--model", "setup1", "--n", "-5"),
+         "--n -5: a simulation needs at least one row"),
+        (("simulate", "--model", "setup1", "--n", "0"),
+         "--n 0: a simulation needs at least one row"),
         (("study", "--runs", "10", "--n", _HUGE),
-         f"scenario 'setup1': sample_size {_HUGE}: {_HUGE} rows of 3 nodes need "
-         f"24000000000000 bytes, {_BUDGET}"),
+         f"sample_size {_HUGE}: one replication of 10 distinct substreams and the 7 "
+         f"nodes of the largest model needs 136000000000000 bytes, {_BUDGET}"),
         (("study", "--runs", "2", "--n", "50", "--oracle-n", _HUGE),
          f"scenario 'setup5_conditional': oracle_n {_HUGE} in each of two arms: "
          f"2000000000000 rows of 3 nodes need 48000000000000 bytes, {_BUDGET}"),
         (("study", "--runs", _HUGE, "--n", "1000"),
          f"replications {_HUGE} for 10 scenarios is above the bound of 1000000 "
          "replication results"),
-    ], ids=["simulate_n", "study_n", "study_oracle_n", "study_runs"])
+    ], ids=["simulate_n", "simulate_n_negative", "simulate_n_zero", "study_n",
+            "study_oracle_n", "study_runs"])
     def test_exits_1_in_under_a_second(self, capsys, monkeypatch, argv, message):
         def no_jobs(jobs, workers):
             raise AssertionError("a job ran before the sizes were checked")

@@ -197,6 +197,15 @@ class TestLogistic:
         with pytest.raises(SeparationError):
             logistic_fit(data, DesignSpec("y", ("x",)))
 
+    def test_diverging_coefficients_suspect_separation(self):
+        # The classes overlap nowhere, but the fitted probabilities near
+        # x = 0 stay away from 0 and 1 until the slope passes the bound.
+        x = np.array([-2.0, -1.0, -0.5, -0.001, 0.001, 0.5, 1.0, 2.0])
+        data = dataset(x=x, y=(x > 0).astype(float))
+        with pytest.raises(SeparationError, match="^separation suspected: coefficient "
+                                                  "norm 2e\\+03 exceeds 1000$"):
+            logistic_fit(data, DesignSpec("y", ("x",)))
+
     def test_non_binary_outcome_rejected(self):
         data = dataset(x=[0.0, 1.0, 2.0, 3.0], y=[0.0, 1.0, 2.0, 1.0])
         with pytest.raises(FitError, match="binary"):
@@ -390,6 +399,26 @@ class TestStackedFitters:
                                        rtol=1e-12)
             np.testing.assert_allclose(fits[i].standard_errors,
                                        clean[i].standard_errors, rtol=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ols_overflowing_fit_fails_alone(self):
+        # A finite outcome whose residual variance overflows.
+        spec = DesignSpec("Y", ("A",))
+        X = np.column_stack([np.ones(5), [1.0, 0.0, 1.0, 0.0, 1.0]])
+        y = np.array([[1e308, 1e308, -1e308, 3.0, 2.0], [1.0, 2.0, 0.5, 3.0, 2.0]])
+        fits = ols(np.stack([X, X]), y, spec)
+        assert str(fits[0]) == ("outcome 'Y' is too large to fit: a coefficient or SE "
+                                "overflows")
+        assert fits[1] == ols(X[None], y[1:], spec)[0]
+
+    def test_solve_each_fails_only_the_singular_system(self):
+        a = np.stack([np.eye(2), np.zeros((2, 2)), 2 * np.eye(2)])
+        b = np.arange(1.0, 7.0).reshape(3, 2, 1)
+        x, solved = est._solve_each(a, b)
+        assert solved.tolist() == [True, False, True]
+        assert np.isnan(x[1]).all()
+        for i in (0, 2):
+            assert np.array_equal(x[i], np.linalg.solve(a[i], b[i]))
 
     def test_too_few_rows_fail_every_problem(self):
         X, y, spec = ols_stack_fixture()

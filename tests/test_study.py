@@ -396,7 +396,12 @@ class TestKernel:
                   "Y ~ bernoulli(plogis(A + L))\nC ~ bernoulli(plogis(1 + L))\n",
                   DesignSpec("Y", ("A", "L")), "A", "log_MOR", true_value=1.0,
                   require_ones=("C",)), 80, range(0, 1)),
-    ], ids=["setup7", "collinear", "non_binary", "logistic_complete_cases"])
+        # About 3 complete rows in 60: replications with no more rows than
+        # parameters fail as the fitter says, and with one more fit on df 1.
+        (Scenario("starved", "A ~ bernoulli(0.5)\nY ~ normal(A, 1)\nC ~ bernoulli(0.05)\n",
+                  DesignSpec("Y", ("A",)), "A", true_value=1.0, require_ones=("C",)),
+         60, range(25, 26)),
+    ], ids=["setup7", "collinear", "non_binary", "logistic_complete_cases", "starved"])
     def test_stacked_kernel_matches_public_fitters(self, scenario, n, failures):
         model = scenario.resolve_model()
         batch = study._replicate({model: [scenario]}, n, 4, range(40))[scenario.id]

@@ -41,7 +41,7 @@ def positive_tables(draw, max_strata=3):
 
 class TestConstruction:
     def test_rejects_bad_total(self):
-        with pytest.raises(TableError, match="sum"):
+        with pytest.raises(TableError, match="^probabilities sum to 1.2, not 1$"):
             StratifiedTable(("a",), np.full((1, 2, 2), 0.3))
 
     def test_rejects_negative(self):
